@@ -16,6 +16,7 @@
 #include "exec/policy.hpp"
 #include "exec/sync.hpp"
 #include "hostmpi/comm.hpp"
+#include "sim/memo.hpp"
 #include "vgpu/host.hpp"
 #include "vgpu/kernel.hpp"
 #include "vshmem/world.hpp"
@@ -141,9 +142,18 @@ double combine(const std::vector<double>& partials) {
   return acc;
 }
 
-}  // namespace
+/// Everything cg_reference reads, and nothing else (sim::Memo key).
+struct ReferenceKey {
+  std::size_t nx = 0;
+  std::size_t ny = 0;
+  int max_iterations = 0;
+  double tolerance = 0.0;
+  int ranks = 0;
 
-CgResult cg_reference(const CgConfig& cfg, int ranks) {
+  bool operator==(const ReferenceKey&) const = default;
+};
+
+CgResult compute_reference(const CgConfig& cfg, int ranks) {
   auto states = make_states(cfg, ranks);
   const int n = ranks;
   std::vector<std::vector<double>> b(static_cast<std::size_t>(n));
@@ -226,6 +236,15 @@ CgResult cg_reference(const CgConfig& cfg, int ranks) {
     }
   }
   return res;
+}
+
+}  // namespace
+
+CgResult cg_reference(const CgConfig& cfg, int ranks) {
+  static sim::Memo<ReferenceKey, CgResult, sim::kReferenceMemoCapacity> memo;
+  const ReferenceKey key{cfg.nx, cfg.ny, cfg.max_iterations, cfg.tolerance,
+                         ranks};
+  return memo.get(key, [&] { return compute_reference(cfg, ranks); });
 }
 
 // --- CPU-Free persistent CG ---------------------------------------------------

@@ -74,6 +74,7 @@ struct CgResult {
 
 /// Serial reference with the same partition-shaped reduction order as a
 /// `ranks`-device distributed run (so distributed results match bitwise).
+/// Memoized (sim::Memo) by (nx, ny, max_iterations, tolerance, ranks).
 [[nodiscard]] CgResult cg_reference(const CgConfig& config, int ranks);
 
 /// CPU-Free persistent-kernel CG.

@@ -18,6 +18,7 @@
 #include "exec/program.hpp"
 #include "exec/sync.hpp"
 #include "hostmpi/comm.hpp"
+#include "sim/memo.hpp"
 #include "sim/observe.hpp"
 #include "vgpu/host.hpp"
 #include "vgpu/kernel.hpp"
@@ -172,6 +173,18 @@ void init_vectors(const SparseRankState& s, std::span<double> b,
   }
 }
 
+/// Max per-rank CSR nonzeros / mean: the realized partition imbalance.
+double nnz_imbalance(const std::vector<SparseRankState>& states) {
+  double total = 0.0, peak = 0.0;
+  for (const auto& s : states) {
+    const auto w = static_cast<double>(s.nnz());
+    total += w;
+    peak = std::max(peak, w);
+  }
+  const double mean = total / static_cast<double>(states.size());
+  return mean > 0.0 ? peak / mean : 1.0;
+}
+
 /// Rank-ordered partial combine — the reduction order every variant and the
 /// reference share.
 double combine(const std::vector<double>& partials) {
@@ -232,18 +245,24 @@ std::vector<std::size_t> split_rows_weighted(std::size_t ny, int ranks,
 }
 
 double sparse_partition_imbalance(const SparseCgConfig& config, int ranks) {
-  const auto states = make_sparse_states(config, ranks);
-  double total = 0.0, peak = 0.0;
-  for (const auto& s : states) {
-    const auto w = static_cast<double>(s.nnz());
-    total += w;
-    peak = std::max(peak, w);
-  }
-  const double mean = total / static_cast<double>(ranks);
-  return mean > 0.0 ? peak / mean : 1.0;
+  return nnz_imbalance(make_sparse_states(config, ranks));
 }
 
-CgResult sparse_cg_reference(const SparseCgConfig& cfg, int ranks) {
+namespace {
+
+/// Everything sparse_cg_reference reads, and nothing else (sim::Memo key).
+struct ReferenceKey {
+  std::size_t nx = 0;
+  std::size_t ny = 0;
+  int max_iterations = 0;
+  double tolerance = 0.0;
+  double imbalance = 0.0;
+  int ranks = 0;
+
+  bool operator==(const ReferenceKey&) const = default;
+};
+
+CgResult compute_reference(const SparseCgConfig& cfg, int ranks) {
   auto states = make_sparse_states(cfg, ranks);
   const int n = ranks;
   std::vector<std::vector<double>> b(static_cast<std::size_t>(n));
@@ -326,6 +345,15 @@ CgResult sparse_cg_reference(const SparseCgConfig& cfg, int ranks) {
     }
   }
   return res;
+}
+
+}  // namespace
+
+CgResult sparse_cg_reference(const SparseCgConfig& cfg, int ranks) {
+  static sim::Memo<ReferenceKey, CgResult, sim::kReferenceMemoCapacity> memo;
+  const ReferenceKey key{cfg.nx,        cfg.ny,        cfg.max_iterations,
+                         cfg.tolerance, cfg.imbalance, ranks};
+  return memo.get(key, [&] { return compute_reference(cfg, ranks); });
 }
 
 // --- Shared distributed core --------------------------------------------------
@@ -906,7 +934,7 @@ const std::vector<double>& SparseCgCpufreeJob::rr_history() const {
 }
 
 double SparseCgCpufreeJob::imbalance() const {
-  return sparse_partition_imbalance(impl_->core->cfg, impl_->core->n);
+  return nnz_imbalance(impl_->core->states);
 }
 
 }  // namespace solvers

@@ -72,7 +72,8 @@ struct SparseCgConfig {
                                                 int ranks);
 
 /// Serial reference with the distributed variants' CSR accumulation and
-/// rank-ordered reduction, so `ranks`-device runs match bitwise.
+/// rank-ordered reduction, so `ranks`-device runs match bitwise. Memoized
+/// (sim::Memo) by (nx, ny, max_iterations, tolerance, imbalance, ranks).
 [[nodiscard]] CgResult sparse_cg_reference(const SparseCgConfig& config,
                                            int ranks);
 

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -13,11 +14,86 @@
 #include "exec/launch.hpp"
 #include "exec/program.hpp"
 #include "exec/sync.hpp"
+#include "sim/memo.hpp"
 #include "sim/observe.hpp"
 #include "vgpu/host.hpp"
 #include "vgpu/kernel.hpp"
 
 namespace workloads {
+
+void HistogramConfig::validate() const {
+  if (bins < 1) {
+    throw std::invalid_argument("HistogramConfig.bins must be >= 1");
+  }
+  if (keys_per_round < 1) {
+    throw std::invalid_argument("HistogramConfig.keys_per_round must be >= 1");
+  }
+  if (rounds < 1) {
+    throw std::invalid_argument("HistogramConfig.rounds must be >= 1");
+  }
+}
+
+HistogramGeometry::HistogramGeometry(const HistogramConfig& cfg, int ranks)
+    : ranks_(ranks) {
+  cfg.validate();
+  if (ranks < 1) {
+    throw std::invalid_argument("HistogramGeometry: ranks must be >= 1");
+  }
+  // Even base, remainder to the low owners — so skewed key streams hit
+  // owner 0 both with more bins AND with the hot low-bin mass.
+  const auto n = static_cast<std::size_t>(ranks);
+  const std::size_t base = cfg.bins / n;
+  const std::size_t rem = cfg.bins % n;
+  std::size_t off = 0;
+  for (std::size_t o = 0; o < n; ++o) {
+    const std::size_t c = base + (o < rem ? 1 : 0);
+    start_.push_back(off);
+    count_.push_back(c);
+    stride_ = std::max(stride_, c);
+    off += c;
+  }
+  edges_.resize(static_cast<std::size_t>(cfg.rounds) * n * n);
+  for (int t = 1; t <= cfg.rounds; ++t) {
+    for (int s = 0; s < ranks; ++s) {
+      for (std::size_t i = 0; i < cfg.keys_per_round; ++i) {
+        const std::size_t bin = histogram_key_bin(cfg, s, t, i);
+        const int o = owner_of(bin);
+        const std::size_t slot = bin - start(o);
+        Edge& e = edges_[index(s, t, o)];
+        if (e.keys == 0) {
+          e.lo = e.hi = slot;
+        } else {
+          e.lo = std::min(e.lo, slot);
+          e.hi = std::max(e.hi, slot);
+        }
+        ++e.keys;
+      }
+    }
+  }
+}
+
+int HistogramGeometry::owner_of(std::size_t bin) const {
+  for (std::size_t o = 0; o + 1 < start_.size(); ++o) {
+    if (bin < start_[o + 1]) return static_cast<int>(o);
+  }
+  return ranks_ - 1;
+}
+
+double HistogramGeometry::imbalance() const {
+  // Integer-valued sums, so the per-owner totals are exact in any order.
+  const auto n = static_cast<std::size_t>(ranks_);
+  std::vector<double> updates(n, 0.0);
+  for (std::size_t i = 0; i < edges_.size(); ++i) {
+    updates[i % n] += static_cast<double>(edges_[i].keys);
+  }
+  double total = 0.0, peak = 0.0;
+  for (double u : updates) {
+    total += u;
+    peak = std::max(peak, u);
+  }
+  const double mean = total / static_cast<double>(ranks_);
+  return mean > 0.0 ? peak / mean : 1.0;
+}
 
 namespace {
 
@@ -25,70 +101,6 @@ namespace {
 constexpr double kKeyBytes = 24.0;    // read key, read+update a privatized bin
 constexpr double kMergeBytes = 16.0;  // read a partial slot, rmw the bin
 constexpr double kKeygenBytes = 8.0;  // generate/stage one key
-
-/// Owner partition of the global bins (the stencil slab split: even base,
-/// remainder to the low owners — so skewed key streams hit owner 0 both
-/// with more bins AND with the hot low-bin mass).
-struct BinPartition {
-  std::vector<std::size_t> start;
-  std::vector<std::size_t> count;
-  std::size_t stride = 0;  // max count: the symmetric transfer-row pitch
-};
-
-BinPartition split_bins(std::size_t bins, int ranks) {
-  BinPartition part;
-  const std::size_t base = bins / static_cast<std::size_t>(ranks);
-  const std::size_t rem = bins % static_cast<std::size_t>(ranks);
-  std::size_t off = 0;
-  for (int r = 0; r < ranks; ++r) {
-    const std::size_t c = base + (static_cast<std::size_t>(r) < rem ? 1 : 0);
-    part.start.push_back(off);
-    part.count.push_back(c);
-    part.stride = std::max(part.stride, c);
-    off += c;
-  }
-  return part;
-}
-
-int owner_of(const BinPartition& part, std::size_t bin) {
-  for (std::size_t o = 0; o + 1 < part.start.size(); ++o) {
-    if (bin < part.start[o + 1]) return static_cast<int>(o);
-  }
-  return static_cast<int>(part.start.size()) - 1;
-}
-
-/// The slice of `owner`'s bins that `source`'s round-`round` keys touch, as
-/// owner-local slot bounds. This is the data-dependent geometry of one
-/// (source, owner, round) edge: which slots travel, what the checker sees,
-/// and how much merge work the owner pays all derive from it. Any PE can
-/// evaluate it for any other PE (counter-based key streams).
-struct Touched {
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-  bool any = false;
-
-  [[nodiscard]] std::size_t slots() const { return any ? hi - lo + 1 : 0; }
-};
-
-Touched touched_slots(const HistogramConfig& cfg, const BinPartition& part,
-                      int source, int round, int owner) {
-  Touched tr;
-  const std::size_t start = part.start[static_cast<std::size_t>(owner)];
-  const std::size_t count = part.count[static_cast<std::size_t>(owner)];
-  for (std::size_t i = 0; i < cfg.keys_per_round; ++i) {
-    const std::size_t bin = histogram_key_bin(cfg, source, round, i);
-    if (bin < start || bin >= start + count) continue;
-    const std::size_t slot = bin - start;
-    if (!tr.any) {
-      tr.lo = tr.hi = slot;
-      tr.any = true;
-    } else {
-      tr.lo = std::min(tr.lo, slot);
-      tr.hi = std::max(tr.hi, slot);
-    }
-  }
-  return tr;
-}
 
 /// Everything the histogram bodies dereference, heap-held so an
 /// externally-driven job (HistogramCpufreeJob) can outlive the building
@@ -99,31 +111,30 @@ Touched touched_slots(const HistogramConfig& cfg, const BinPartition& part,
 ///   sig  — 2n flags: [0,n) "round ready from source s" (set at the owner),
 ///          [n,2n) "round consumed by owner o" (the ack, set at the source).
 struct HistCore {
+  HistCore(vshmem::World& w, const HistogramConfig& c)
+      : cfg(c), world(&w), n(w.n_pes()), geo(c, n) {}
+
   HistogramConfig cfg;
   vshmem::World* world = nullptr;
   int n = 0;
-  BinPartition part;
+  HistogramGeometry geo;
   vshmem::Sym<double> bins, xfer;
   std::unique_ptr<vshmem::SignalSet> sig;
 };
 
 std::unique_ptr<HistCore> make_hist_core(vshmem::World& world,
                                          const HistogramConfig& cfg) {
-  auto core = std::make_unique<HistCore>();
-  core->cfg = cfg;
-  core->world = &world;
-  core->n = world.n_pes();
-  core->part = split_bins(cfg.bins, core->n);
-  core->bins = world.alloc<double>(core->part.stride, "hist_bins");
+  auto core = std::make_unique<HistCore>(world, cfg);
+  core->bins = world.alloc<double>(core->geo.stride(), "hist_bins");
   core->xfer = world.alloc<double>(
-      2 * static_cast<std::size_t>(core->n) * core->part.stride, "hist_xfer");
+      2 * static_cast<std::size_t>(core->n) * core->geo.stride(), "hist_xfer");
   // No presets: the round-1 ack wait is `>= 0`, trivially satisfied.
   core->sig = world.alloc_signals(2 * static_cast<std::size_t>(core->n));
   return core;
 }
 
 std::size_t row_off(HistCore& core, std::size_t row) {
-  return row * core.part.stride;
+  return row * core.geo.stride();
 }
 
 /// Functional numerics of the local phase: zero my partial rows, then fold
@@ -137,15 +148,14 @@ void accumulate_partials(HistCore& core, int me, int t, bool remote_only,
   for (int o = 0; o < core.n; ++o) {
     if ((remote_only && o == me) || (self_only && o != me)) continue;
     auto row = rows.subspan(row_off(core, static_cast<std::size_t>(o)),
-                            core.part.count[static_cast<std::size_t>(o)]);
+                            core.geo.count(o));
     std::fill(row.begin(), row.end(), 0.0);
   }
   for (std::size_t i = 0; i < cfg.keys_per_round; ++i) {
     const std::size_t bin = histogram_key_bin(cfg, me, t, i);
-    const int o = owner_of(core.part, bin);
+    const int o = core.geo.owner_of(bin);
     if ((remote_only && o == me) || (self_only && o != me)) continue;
-    rows[row_off(core, static_cast<std::size_t>(o)) + bin -
-         core.part.start[static_cast<std::size_t>(o)]] +=
+    rows[row_off(core, static_cast<std::size_t>(o)) + bin - core.geo.start(o)] +=
         histogram_key_weight(cfg, me, t, i);
   }
 }
@@ -158,8 +168,8 @@ void merge_round(HistCore& core, int me, int t) {
   auto rows = core.xfer.on(me);
   auto my_bins = core.bins.on(me);
   for (int s = 0; s < core.n; ++s) {
-    const Touched tr = touched_slots(core.cfg, core.part, s, t, me);
-    if (!tr.any) continue;
+    const HistogramGeometry::Edge& tr = core.geo.edge(s, t, me);
+    if (!tr.any()) continue;
     const std::size_t row =
         s == me ? static_cast<std::size_t>(me)
                 : static_cast<std::size_t>(core.n + s);
@@ -172,13 +182,7 @@ void merge_round(HistCore& core, int me, int t) {
 /// Keys `me` draws in round `t` that belong to remote owners (sizes the
 /// overlap composition's comm-kernel share of the local phase).
 std::size_t remote_keys(HistCore& core, int me, int t) {
-  std::size_t cnt = 0;
-  for (std::size_t i = 0; i < core.cfg.keys_per_round; ++i) {
-    if (owner_of(core.part, histogram_key_bin(core.cfg, me, t, i)) != me) {
-      ++cnt;
-    }
-  }
-  return cnt;
+  return core.cfg.keys_per_round - core.geo.edge(me, t, me).keys;
 }
 
 /// Owner-side merge traffic of round `t` (data-dependent: only touched
@@ -186,8 +190,7 @@ std::size_t remote_keys(HistCore& core, int me, int t) {
 double merge_bytes(HistCore& core, int me, int t) {
   double slots = 0.0;
   for (int s = 0; s < core.n; ++s) {
-    slots +=
-        static_cast<double>(touched_slots(core.cfg, core.part, s, t, me).slots());
+    slots += static_cast<double>(core.geo.edge(s, t, me).slots());
   }
   return slots * kMergeBytes;
 }
@@ -197,8 +200,8 @@ void observe_partial_writes(HistCore& core, vgpu::KernelCtx& k, int me,
                             int t, bool remote_only, bool self_only) {
   for (int o = 0; o < core.n; ++o) {
     if ((remote_only && o == me) || (self_only && o != me)) continue;
-    const Touched tr = touched_slots(core.cfg, core.part, me, t, o);
-    if (!tr.any) continue;
+    const HistogramGeometry::Edge& tr = core.geo.edge(me, t, o);
+    if (!tr.any()) continue;
     k.obs_access(
         sim::MemRange::of(core.xfer.on(me),
                           row_off(core, static_cast<std::size_t>(o)) + tr.lo,
@@ -211,24 +214,24 @@ void observe_partial_writes(HistCore& core, vgpu::KernelCtx& k, int me,
 /// every source's round is ready (the caller sequences this after the
 /// waits/barrier), so a protocol that skips an edge is flagged.
 void observe_merge(HistCore& core, vgpu::KernelCtx& k, int me, int t) {
-  Touched un;
+  HistogramGeometry::Edge un;
   for (int s = 0; s < core.n; ++s) {
-    const Touched tr = touched_slots(core.cfg, core.part, s, t, me);
-    if (!tr.any) continue;
+    const HistogramGeometry::Edge& tr = core.geo.edge(s, t, me);
+    if (!tr.any()) continue;
     const std::size_t row =
         s == me ? static_cast<std::size_t>(me)
                 : static_cast<std::size_t>(core.n + s);
     k.obs_access(sim::MemRange::of(core.xfer.on(me),
                                    row_off(core, row) + tr.lo, tr.slots()),
                  /*is_write=*/false, "hist_inbox_read");
-    if (!un.any) {
+    if (!un.any()) {
       un = tr;
     } else {
       un.lo = std::min(un.lo, tr.lo);
       un.hi = std::max(un.hi, tr.hi);
     }
   }
-  if (un.any) {
+  if (un.any()) {
     k.obs_access(sim::MemRange::of(core.bins.on(me), un.lo, un.slots()),
                  /*is_write=*/true, "hist_bin_update");
   }
@@ -241,8 +244,8 @@ sim::Task flush_rows_staged(HistCore& core, vgpu::HostCtx& h,
   vshmem::World& w = *core.world;
   for (int o = 0; o < core.n; ++o) {
     if (o == dev) continue;
-    const Touched tr = touched_slots(core.cfg, core.part, dev, t, o);
-    if (!tr.any) continue;
+    const HistogramGeometry::Edge& tr = core.geo.edge(dev, t, o);
+    if (!tr.any()) continue;
     const std::size_t src =
         row_off(core, static_cast<std::size_t>(o)) + tr.lo;
     const std::size_t dst =
@@ -273,9 +276,8 @@ sim::Task launch_merge_kernel(HistCore& core, vgpu::HostCtx& h,
   vgpu::LaunchConfig lc;
   lc.threads_per_block = core.cfg.threads_per_block;
   lc.name = "hist_merge";
-  const int blocks = exec::discrete_blocks(
-      core.part.count[static_cast<std::size_t>(dev)],
-      core.cfg.threads_per_block);
+  const int blocks = exec::discrete_blocks(core.geo.count(dev),
+                                           core.cfg.threads_per_block);
   std::function<void()> fnl;
   if (core.cfg.functional) {
     fnl = [&core, dev, t] { merge_round(core, dev, t); };
@@ -417,8 +419,8 @@ sim::Task peer_store_step(HistCore& core, const exec::Plan& plan,
         "hist_local", std::move(f));
     for (int o = 0; o < core.n; ++o) {
       if (o == dev) continue;
-      const Touched tr = touched_slots(core.cfg, core.part, dev, t, o);
-      if (!tr.any) continue;
+      const HistogramGeometry::Edge& tr = core.geo.edge(dev, t, o);
+      if (!tr.any()) continue;
       const std::size_t src =
           row_off(core, static_cast<std::size_t>(o)) + tr.lo;
       const std::size_t dst =
@@ -478,8 +480,8 @@ sim::Task signaled_local_phase(HistCore& core, vgpu::KernelCtx& k,
   // owner's merge wait must see every source).
   for (int o = 0; o < core.n; ++o) {
     if (o == dev) continue;
-    const Touched tr = touched_slots(core.cfg, core.part, dev, t, o);
-    if (tr.any) {
+    const HistogramGeometry::Edge& tr = core.geo.edge(dev, t, o);
+    if (tr.any()) {
       co_await proto.put_and_signal(
           k, core.xfer, row_off(core, static_cast<std::size_t>(o)) + tr.lo,
           row_off(core, static_cast<std::size_t>(core.n + dev)) + tr.lo,
@@ -543,8 +545,7 @@ sim::Task signaled_step(HistCore& core, const exec::Plan& plan,
   std::function<sim::Task(vgpu::KernelCtx&)> merge_fn = std::move(merge_body);
   CO_AWAIT(h.launch_single(
       stream, lm,
-      exec::discrete_blocks(core.part.count[static_cast<std::size_t>(dev)],
-                            core.cfg.threads_per_block),
+      exec::discrete_blocks(core.geo.count(dev), core.cfg.threads_per_block),
       std::move(merge_fn)));
   vgpu::Stream* const streams[] = {&stream};
   co_await exec::end_host_step(h, plan.sync, streams);
@@ -646,19 +647,27 @@ std::vector<double> gather(HistCore& core) {
   std::vector<double> out(core.cfg.bins, 0.0);
   for (int o = 0; o < core.n; ++o) {
     auto slice = core.bins.on(o);
-    for (std::size_t b = 0; b < core.part.count[static_cast<std::size_t>(o)];
-         ++b) {
-      out[core.part.start[static_cast<std::size_t>(o)] + b] = slice[b];
+    for (std::size_t b = 0; b < core.geo.count(o); ++b) {
+      out[core.geo.start(o) + b] = slice[b];
     }
   }
   return out;
 }
 
-}  // namespace
+/// Everything histogram_reference reads, and nothing else (sim::Memo key).
+struct ReferenceKey {
+  std::size_t bins = 0;
+  std::size_t keys_per_round = 0;
+  int rounds = 0;
+  int skew = 0;
+  std::uint64_t seed = 0;
+  int ranks = 0;
 
-std::vector<double> histogram_reference(const HistogramConfig& cfg,
-                                        int ranks) {
-  const BinPartition part = split_bins(cfg.bins, ranks);
+  bool operator==(const ReferenceKey&) const = default;
+};
+
+std::vector<double> compute_reference(const HistogramConfig& cfg, int ranks) {
+  const HistogramGeometry geo(cfg, ranks);
   std::vector<double> bins(cfg.bins, 0.0);
   std::vector<std::vector<double>> partial(
       static_cast<std::size_t>(ranks));
@@ -676,10 +685,10 @@ std::vector<double> histogram_reference(const HistogramConfig& cfg,
     // Each owner folds the sources in fixed order over their touched slots
     // — the same reduction the distributed merge performs.
     for (int o = 0; o < ranks; ++o) {
-      const std::size_t start = part.start[static_cast<std::size_t>(o)];
+      const std::size_t start = geo.start(o);
       for (int s = 0; s < ranks; ++s) {
-        const Touched tr = touched_slots(cfg, part, s, t, o);
-        if (!tr.any) continue;
+        const HistogramGeometry::Edge& tr = geo.edge(s, t, o);
+        if (!tr.any()) continue;
         for (std::size_t slot = tr.lo; slot <= tr.hi; ++slot) {
           bins[start + slot] +=
               partial[static_cast<std::size_t>(s)][start + slot];
@@ -690,24 +699,21 @@ std::vector<double> histogram_reference(const HistogramConfig& cfg,
   return bins;
 }
 
+}  // namespace
+
+std::vector<double> histogram_reference(const HistogramConfig& cfg,
+                                        int ranks) {
+  cfg.validate();
+  static sim::Memo<ReferenceKey, std::vector<double>,
+                   sim::kReferenceMemoCapacity>
+      memo;
+  const ReferenceKey key{cfg.bins, cfg.keys_per_round, cfg.rounds,
+                         cfg.skew, cfg.seed,           ranks};
+  return memo.get(key, [&] { return compute_reference(cfg, ranks); });
+}
+
 double histogram_imbalance(const HistogramConfig& cfg, int ranks) {
-  const BinPartition part = split_bins(cfg.bins, ranks);
-  std::vector<double> updates(static_cast<std::size_t>(ranks), 0.0);
-  for (int t = 1; t <= cfg.rounds; ++t) {
-    for (int s = 0; s < ranks; ++s) {
-      for (std::size_t i = 0; i < cfg.keys_per_round; ++i) {
-        updates[static_cast<std::size_t>(
-            owner_of(part, histogram_key_bin(cfg, s, t, i)))] += 1.0;
-      }
-    }
-  }
-  double total = 0.0, peak = 0.0;
-  for (double u : updates) {
-    total += u;
-    peak = std::max(peak, u);
-  }
-  const double mean = total / static_cast<double>(ranks);
-  return mean > 0.0 ? peak / mean : 1.0;
+  return HistogramGeometry(cfg, ranks).imbalance();
 }
 
 HistogramResult run_histogram(const vgpu::MachineSpec& spec,
@@ -730,7 +736,7 @@ HistogramResult run_histogram(const vgpu::MachineSpec& spec,
                                      cfg.rounds);
   cpufree::apply_fault_stats(res.metrics, machine.faults().stats());
   if (cfg.functional) res.bins = gather(*core);
-  res.imbalance = histogram_imbalance(cfg, core->n);
+  res.imbalance = core->geo.imbalance();
   return res;
 }
 
@@ -774,7 +780,7 @@ std::vector<double> HistogramCpufreeJob::gather_bins() const {
 }
 
 double HistogramCpufreeJob::imbalance() const {
-  return histogram_imbalance(impl_->core->cfg, impl_->core->n);
+  return impl_->core->geo.imbalance();
 }
 
 }  // namespace workloads

@@ -71,6 +71,10 @@ struct HistogramConfig {
   /// Multi-tenant attribution (HistogramCpufreeJob only).
   sim::JobMap* job_map = nullptr;
   std::string job_label;
+
+  /// Throws std::invalid_argument naming the first field that cannot drive
+  /// a run: bins, keys_per_round and rounds must all be >= 1.
+  void validate() const;
 };
 
 struct HistogramResult {
@@ -106,8 +110,63 @@ struct HistogramResult {
                              static_cast<std::uint64_t>(i));
 }
 
+/// The data-dependent geometry of a whole run, derived once from the key
+/// streams: the owner partition of the bins (even base, remainder to the low
+/// owners) and, for every (source, round, owner) edge, the owner-local slot
+/// range the source's keys touch and how many keys it sends. Every reader —
+/// merge, merge traffic, checker ranges, flushes, the overlap split, the
+/// serial reference and the imbalance factor — reads this table instead of
+/// re-hashing the key stream.
+class HistogramGeometry {
+ public:
+  struct Edge {
+    std::size_t lo = 0;    // first touched owner-local slot
+    std::size_t hi = 0;    // last touched owner-local slot
+    std::size_t keys = 0;  // keys the source sends to the owner this round
+
+    [[nodiscard]] bool any() const { return keys > 0; }
+    [[nodiscard]] std::size_t slots() const { return any() ? hi - lo + 1 : 0; }
+  };
+
+  /// One pass over every (source, round) key stream. Validates `cfg` and
+  /// throws std::invalid_argument unless ranks >= 1.
+  HistogramGeometry(const HistogramConfig& cfg, int ranks);
+
+  [[nodiscard]] std::size_t start(int owner) const {
+    return start_[static_cast<std::size_t>(owner)];
+  }
+  [[nodiscard]] std::size_t count(int owner) const {
+    return count_[static_cast<std::size_t>(owner)];
+  }
+  /// Largest owner slice: the symmetric transfer-row pitch.
+  [[nodiscard]] std::size_t stride() const { return stride_; }
+  [[nodiscard]] int owner_of(std::size_t bin) const;
+  /// `round` is 1-based, as in the run.
+  [[nodiscard]] const Edge& edge(int source, int round, int owner) const {
+    return edges_[index(source, round, owner)];
+  }
+  /// Max per-owner key updates over the run / mean (1.0 = balanced).
+  [[nodiscard]] double imbalance() const;
+
+ private:
+  [[nodiscard]] std::size_t index(int source, int round, int owner) const {
+    const auto n = static_cast<std::size_t>(ranks_);
+    return (static_cast<std::size_t>(round - 1) * n +
+            static_cast<std::size_t>(source)) *
+               n +
+           static_cast<std::size_t>(owner);
+  }
+
+  int ranks_ = 0;
+  std::vector<std::size_t> start_;
+  std::vector<std::size_t> count_;
+  std::size_t stride_ = 0;
+  std::vector<Edge> edges_;  // [round-1][source][owner]
+};
+
 /// Serial reference with the distributed merge's source-order reduction,
-/// so `ranks`-PE runs match bitwise under every policy triple.
+/// so `ranks`-PE runs match bitwise under every policy triple. Memoized
+/// (sim::Memo) by (bins, keys_per_round, rounds, skew, seed, ranks).
 [[nodiscard]] std::vector<double> histogram_reference(
     const HistogramConfig& cfg, int ranks);
 

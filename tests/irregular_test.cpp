@@ -2,16 +2,30 @@
 // histogram's data-dependent aggregation must be bitwise-deterministic
 // under every policy triple, on every machine model, at every engine
 // thread count — and its skew knob must actually produce the partition
-// imbalance the contention figures claim.
+// imbalance the contention figures claim. The suite also pins the
+// histogram's geometry table against a brute-force key scan and the
+// serial-reference memo's contract (purity, key completeness, thread
+// safety), so both run under the Release, ASan and TSan CI jobs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "exec/policy.hpp"
 #include "fault/schedule.hpp"
+#include "sim/memo.hpp"
+#include "sim/observe.hpp"
+#include "solvers/cg.hpp"
 #include "solvers/sparse_cg.hpp"
 #include "vgpu/costmodel.hpp"
+#include "vgpu/machine.hpp"
+#include "vshmem/world.hpp"
 #include "workloads/histogram/histogram.hpp"
 
 namespace {
@@ -22,6 +36,7 @@ using exec::Plan;
 using exec::SyncPolicy;
 using vgpu::MachineSpec;
 using workloads::HistogramConfig;
+using workloads::HistogramGeometry;
 using workloads::HistogramResult;
 
 HistogramConfig small_hist() {
@@ -185,6 +200,142 @@ TEST(HistSplit, OwnerPartitionCoversEveryBin) {
   const HistogramResult got = workloads::run_histogram(
       MachineSpec::hgx_a100(4), cfg, hist_plans()[0]);
   EXPECT_EQ(got.bins, ref);
+}
+
+// --- Histogram geometry table ------------------------------------------------
+
+/// Brute-force oracle: re-scan the whole key stream of one (source, round)
+/// for the slots it touches in `owner`'s slice.
+HistogramGeometry::Edge scan_edge(const HistogramConfig& cfg,
+                                  const HistogramGeometry& geo, int source,
+                                  int round, int owner) {
+  HistogramGeometry::Edge e;
+  const std::size_t start = geo.start(owner);
+  for (std::size_t i = 0; i < cfg.keys_per_round; ++i) {
+    const std::size_t bin = workloads::histogram_key_bin(cfg, source, round, i);
+    if (bin < start || bin >= start + geo.count(owner)) continue;
+    const std::size_t slot = bin - start;
+    e.lo = e.keys == 0 ? slot : std::min(e.lo, slot);
+    e.hi = e.keys == 0 ? slot : std::max(e.hi, slot);
+    ++e.keys;
+  }
+  return e;
+}
+
+TEST(HistGeometry, MatchesBruteForceScanOfEveryEdge) {
+  for (int ranks : {1, 2, 3, 4, 8}) {
+    for (int skew : {0, 2}) {
+      // 512 keys fill most edges; 3 keys cannot reach every owner.
+      for (std::size_t keys : {std::size_t{512}, std::size_t{3}}) {
+        HistogramConfig cfg = small_hist();  // 97 bins: no even split
+        cfg.skew = skew;
+        cfg.keys_per_round = keys;
+        const HistogramGeometry geo(cfg, ranks);
+        const std::string where = "ranks=" + std::to_string(ranks) +
+                                  " skew=" + std::to_string(skew) +
+                                  " keys=" + std::to_string(keys);
+        // Owner partition: contiguous, remainder to the low owners.
+        std::size_t next = 0, widest = 0;
+        for (int o = 0; o < ranks; ++o) {
+          const auto uo = static_cast<std::size_t>(o);
+          const auto n = static_cast<std::size_t>(ranks);
+          EXPECT_EQ(geo.start(o), next) << where;
+          EXPECT_EQ(geo.count(o), cfg.bins / n + (uo < cfg.bins % n ? 1 : 0))
+              << where;
+          for (std::size_t b = 0; b < geo.count(o); ++b) {
+            EXPECT_EQ(geo.owner_of(next + b), o) << where << " bin " << b;
+          }
+          next += geo.count(o);
+          widest = std::max(widest, geo.count(o));
+        }
+        EXPECT_EQ(next, cfg.bins) << where;
+        EXPECT_EQ(geo.stride(), widest) << where;
+
+        int empty = 0;
+        for (int t = 1; t <= cfg.rounds; ++t) {
+          for (int s = 0; s < ranks; ++s) {
+            std::size_t keys_sent = 0;
+            for (int o = 0; o < ranks; ++o) {
+              const HistogramGeometry::Edge& got = geo.edge(s, t, o);
+              const HistogramGeometry::Edge want = scan_edge(cfg, geo, s, t, o);
+              EXPECT_EQ(got.keys, want.keys) << where;
+              EXPECT_EQ(got.any(), want.any()) << where;
+              EXPECT_EQ(got.lo, want.lo) << where;
+              EXPECT_EQ(got.hi, want.hi) << where;
+              EXPECT_EQ(got.slots(), want.slots()) << where;
+              if (!got.any()) ++empty;
+              keys_sent += got.keys;
+            }
+            EXPECT_EQ(keys_sent, cfg.keys_per_round) << where;
+          }
+        }
+        if (keys < static_cast<std::size_t>(ranks)) {
+          EXPECT_GT(empty, 0) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(HistGeometry, ImbalancePinnedAtPreTableValues) {
+  // Values the per-key scan gave before the geometry table existed.
+  HistogramConfig cfg = small_hist();
+  EXPECT_EQ(workloads::histogram_imbalance(cfg, 4), 0x1.042p+0);
+  cfg.skew = 2;
+  cfg.seed = 7;
+  EXPECT_EQ(workloads::histogram_imbalance(cfg, 3), 0x1.0bcp+1);
+}
+
+/// Runs `fn` and checks it throws std::invalid_argument naming `field`.
+template <class Fn>
+void expect_rejects(const Fn& fn, const std::string& field,
+                    const std::string& entry) {
+  try {
+    fn();
+    ADD_FAILURE() << entry << " accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << entry << ": " << e.what();
+  }
+}
+
+void expect_every_entry_rejects(const HistogramConfig& cfg,
+                                const std::string& field) {
+  expect_rejects(
+      [&] {
+        (void)workloads::run_histogram(MachineSpec::hgx_a100(2), cfg,
+                                       hist_plans()[4]);
+      },
+      field, "run_histogram");
+  expect_rejects([&] { (void)workloads::histogram_reference(cfg, 2); },
+                 field, "histogram_reference");
+  expect_rejects([&] { (void)workloads::histogram_imbalance(cfg, 2); },
+                 field, "histogram_imbalance");
+  expect_rejects(
+      [&] {
+        vgpu::Machine machine(MachineSpec::hgx_a100(2));
+        vshmem::World world(machine);
+        workloads::HistogramCpufreeJob job(machine, world, cfg);
+      },
+      field, "HistogramCpufreeJob");
+}
+
+TEST(HistValidate, RejectsZeroBins) {
+  HistogramConfig cfg = small_hist();
+  cfg.bins = 0;
+  expect_every_entry_rejects(cfg, "bins");
+}
+
+TEST(HistValidate, RejectsZeroKeysPerRound) {
+  HistogramConfig cfg = small_hist();
+  cfg.keys_per_round = 0;
+  expect_every_entry_rejects(cfg, "keys_per_round");
+}
+
+TEST(HistValidate, RejectsRoundsBelowOne) {
+  HistogramConfig cfg = small_hist();
+  cfg.rounds = 0;
+  expect_every_entry_rejects(cfg, "rounds");
 }
 
 // --- Sparse SpMV-CG -----------------------------------------------------------
@@ -361,6 +512,256 @@ TEST(SparseCg, RejectsUnsupportedPlansNamingTheComponent) {
   } catch (const std::invalid_argument& e) {
     // Invalid triple: the generic validity message names the comm component.
     EXPECT_NE(std::string(e.what()).find("comm"), std::string::npos);
+  }
+}
+
+// --- Reference memo contract --------------------------------------------------
+
+/// Exact bit patterns, so "equal" below means bitwise equal.
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (double d : v) out.push_back(std::bit_cast<std::uint64_t>(d));
+  return out;
+}
+
+std::vector<std::uint64_t> bits(const solvers::CgResult& r) {
+  std::vector<std::uint64_t> out = bits(r.rr_history);
+  out.push_back(static_cast<std::uint64_t>(r.iterations_run));
+  out.push_back(std::bit_cast<std::uint64_t>(r.final_rr));
+  return out;
+}
+
+solvers::CgConfig small_dense() {
+  solvers::CgConfig cfg;
+  cfg.nx = 16;
+  cfg.ny = 16;
+  cfg.max_iterations = 10;
+  return cfg;
+}
+
+/// Each reference's answer as bits, for one (config, ranks).
+std::vector<std::uint64_t> hist_bits(const HistogramConfig& cfg, int ranks) {
+  return bits(workloads::histogram_reference(cfg, ranks));
+}
+std::vector<std::uint64_t> sparse_bits(const solvers::SparseCgConfig& cfg,
+                                       int ranks) {
+  return bits(solvers::sparse_cg_reference(cfg, ranks));
+}
+std::vector<std::uint64_t> dense_bits(const solvers::CgConfig& cfg,
+                                      int ranks) {
+  return bits(solvers::cg_reference(cfg, ranks));
+}
+
+TEST(Memo, EvictsOldestInsertedFirst) {
+  sim::Memo<int, int, 2> memo;
+  int calls = 0;
+  auto get = [&](int k) {
+    return memo.get(k, [&] {
+      ++calls;
+      return 10 * k;
+    });
+  };
+  EXPECT_EQ(get(1), 10);
+  EXPECT_EQ(get(1), 10);
+  EXPECT_EQ(calls, 1);  // hit
+  EXPECT_EQ(get(2), 20);
+  EXPECT_EQ(get(3), 30);  // full: evicts 1
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(get(2), 20);  // still held
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(get(1), 10);  // recomputed, evicts 2
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(get(3), 30);
+  EXPECT_EQ(calls, 4);
+}
+
+TEST(ReferenceMemo, EvictedEntryRecomputesBitwiseEqual) {
+  const HistogramConfig hist = small_hist();
+  const solvers::SparseCgConfig sparse = small_sparse(4.0);
+  const solvers::CgConfig dense = small_dense();
+  const auto hist0 = hist_bits(hist, 4);
+  const auto sparse0 = sparse_bits(sparse, 4);
+  const auto dense0 = dense_bits(dense, 4);
+  // Capacity fresh keys push the first entries out of every memo.
+  for (std::size_t i = 0; i < sim::kReferenceMemoCapacity; ++i) {
+    HistogramConfig h = hist;
+    h.seed = 1000 + i;
+    (void)workloads::histogram_reference(h, 4);
+    solvers::SparseCgConfig sp = sparse;
+    sp.nx = 8 + i;
+    (void)solvers::sparse_cg_reference(sp, 4);
+    solvers::CgConfig d = dense;
+    d.nx = 8 + i;
+    (void)solvers::cg_reference(d, 4);
+  }
+  EXPECT_EQ(hist_bits(hist, 4), hist0);
+  EXPECT_EQ(sparse_bits(sparse, 4), sparse0);
+  EXPECT_EQ(dense_bits(dense, 4), dense0);
+}
+
+TEST(ReferenceMemo, EveryKeyedFieldChangesTheResult) {
+  const HistogramConfig hist = small_hist();
+  const auto hist0 = hist_bits(hist, 4);
+  {
+    HistogramConfig c = hist;
+    c.bins = 101;
+    EXPECT_NE(hist_bits(c, 4), hist0) << "bins";
+    c = hist;
+    c.keys_per_round = 511;
+    EXPECT_NE(hist_bits(c, 4), hist0) << "keys_per_round";
+    c = hist;
+    c.rounds = 3;
+    EXPECT_NE(hist_bits(c, 4), hist0) << "rounds";
+    c = hist;
+    c.skew = 1;
+    EXPECT_NE(hist_bits(c, 4), hist0) << "skew";
+    c = hist;
+    c.seed = 43;
+    EXPECT_NE(hist_bits(c, 4), hist0) << "seed";
+    EXPECT_NE(hist_bits(hist, 3), hist0) << "ranks";
+  }
+
+  // Ten iterations do not converge, so the iteration cap and the tolerance
+  // both decide where the residual history stops.
+  solvers::SparseCgConfig sparse = small_sparse(4.0);
+  sparse.max_iterations = 10;
+  const auto sparse0 = sparse_bits(sparse, 4);
+  {
+    solvers::SparseCgConfig c = sparse;
+    c.nx = 25;
+    EXPECT_NE(sparse_bits(c, 4), sparse0) << "nx";
+    c = sparse;
+    c.ny = 25;
+    EXPECT_NE(sparse_bits(c, 4), sparse0) << "ny";
+    c = sparse;
+    c.max_iterations = 11;
+    EXPECT_NE(sparse_bits(c, 4), sparse0) << "max_iterations";
+    c = sparse;
+    c.tolerance = 1e300;
+    EXPECT_NE(sparse_bits(c, 4), sparse0) << "tolerance";
+    c = sparse;
+    c.imbalance = 2.0;
+    EXPECT_NE(sparse_bits(c, 4), sparse0) << "imbalance";
+    EXPECT_NE(sparse_bits(sparse, 3), sparse0) << "ranks";
+  }
+
+  const solvers::CgConfig dense = small_dense();
+  const auto dense0 = dense_bits(dense, 4);
+  {
+    solvers::CgConfig c = dense;
+    c.nx = 17;
+    EXPECT_NE(dense_bits(c, 4), dense0) << "nx";
+    c = dense;
+    c.ny = 17;
+    EXPECT_NE(dense_bits(c, 4), dense0) << "ny";
+    c = dense;
+    c.max_iterations = 11;
+    EXPECT_NE(dense_bits(c, 4), dense0) << "max_iterations";
+    c = dense;
+    c.tolerance = 1e300;
+    EXPECT_NE(dense_bits(c, 4), dense0) << "tolerance";
+    EXPECT_NE(dense_bits(dense, 3), dense0) << "ranks";
+  }
+}
+
+TEST(ReferenceMemo, IgnoresFieldsOutsideTheKey) {
+  sim::Observer observer;
+  sim::JobMap job_map;
+
+  const HistogramConfig hist = small_hist();
+  HistogramConfig h = hist;
+  h.observer = &observer;
+  h.trace = !hist.trace;
+  h.threads_per_block = 32;
+  h.persistent_blocks = 3;
+  h.functional = !hist.functional;
+  h.job_map = &job_map;
+  h.job_label = "tenant";
+  h.comm_scope = vshmem::Scope::kThread;
+  EXPECT_EQ(hist_bits(h, 4), hist_bits(hist, 4));
+
+  const solvers::SparseCgConfig sparse = small_sparse(4.0);
+  solvers::SparseCgConfig sp = sparse;
+  sp.observer = &observer;
+  sp.trace = !sparse.trace;
+  sp.threads_per_block = 32;
+  sp.persistent_blocks = 3;
+  sp.functional = !sparse.functional;
+  sp.job_map = &job_map;
+  sp.job_label = "tenant";
+  EXPECT_EQ(sparse_bits(sp, 4), sparse_bits(sparse, 4));
+
+  const solvers::CgConfig dense = small_dense();
+  solvers::CgConfig d = dense;
+  d.observer = &observer;
+  d.trace = !dense.trace;
+  d.threads_per_block = 32;
+  d.persistent_blocks = 3;
+  d.functional = !dense.functional;
+  d.job_map = &job_map;
+  d.job_label = "tenant";
+  EXPECT_EQ(dense_bits(d, 4), dense_bits(dense, 4));
+}
+
+TEST(ReferenceMemo, ConcurrentCallersSeeTheSerialResults) {
+  // More distinct questions than the memo holds, so the threads race on
+  // misses, inserts and evictions as well as hits.
+  constexpr int kConfigs = static_cast<int>(sim::kReferenceMemoCapacity) + 4;
+  struct Question {
+    int kind = 0;
+    int ranks = 0;
+    HistogramConfig hist;
+    solvers::SparseCgConfig sparse;
+    solvers::CgConfig dense;
+  };
+  std::vector<Question> questions;
+  for (int i = 0; i < kConfigs; ++i) {
+    Question q;
+    q.kind = i % 3;
+    q.ranks = 1 + i % 4;
+    q.hist = small_hist();
+    q.hist.keys_per_round = 64;
+    q.hist.seed = 2000 + static_cast<std::uint64_t>(i);
+    q.sparse = small_sparse(1.0 + i % 3);
+    q.sparse.max_iterations = 8;
+    q.sparse.nx = 12 + static_cast<std::size_t>(i);
+    q.dense = small_dense();
+    q.dense.nx = 12 + static_cast<std::size_t>(i);
+    questions.push_back(q);
+  }
+  auto ask = [](const Question& q) {
+    switch (q.kind) {
+      case 0:
+        return hist_bits(q.hist, q.ranks);
+      case 1:
+        return sparse_bits(q.sparse, q.ranks);
+      default:
+        return dense_bits(q.dense, q.ranks);
+    }
+  };
+  std::vector<std::vector<std::uint64_t>> serial;
+  for (const Question& q : questions) serial.push_back(ask(q));
+
+  constexpr int kThreads = 8;
+  constexpr int kRepeats = 3;
+  std::vector<std::vector<std::vector<std::uint64_t>>> got(kThreads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      // Each thread walks the questions from a different starting point.
+      for (int r = 0; r < kRepeats * kConfigs; ++r) {
+        got[static_cast<std::size_t>(t)].push_back(
+            ask(questions[static_cast<std::size_t>((t * 5 + r) % kConfigs)]));
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int r = 0; r < kRepeats * kConfigs; ++r) {
+      EXPECT_EQ(got[static_cast<std::size_t>(t)][static_cast<std::size_t>(r)],
+                serial[static_cast<std::size_t>((t * 5 + r) % kConfigs)])
+          << "thread " << t << " call " << r;
+    }
   }
 }
 
