@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -43,14 +46,16 @@ double rhs_value(std::size_t gy, std::size_t gx) {
 /// One rank's slice: dense interior vectors in the (rows+2)*nx halo-extended
 /// layout of cg.cpp, plus the rank's rows of the operator in CSR with
 /// column indices into that LOCAL layout (halo rows 0 and rows+1 included,
-/// so the SpMV needs no index translation).
+/// so the SpMV needs no index translation). The indices are 32-bit:
+/// SparseCgConfig::validate rejects any rank whose layout or nnz would not
+/// fit.
 struct SparseRankState {
   std::size_t rows = 0;
   std::size_t offset = 0;
   std::size_t nx = 0;
   std::size_t ny = 0;
-  std::vector<std::size_t> row_ptr;  // rows*nx + 1
-  std::vector<std::size_t> cols;
+  std::vector<std::uint32_t> row_ptr;  // rows*nx + 1
+  std::vector<std::uint32_t> cols;
   std::vector<double> vals;
 
   [[nodiscard]] std::size_t idx(std::size_t r, std::size_t j) const {
@@ -61,74 +66,97 @@ struct SparseRankState {
     row_ptr.assign(rows * nx + 1, 0);
     cols.clear();
     vals.clear();
+    cols.reserve(5 * rows * nx);
+    vals.reserve(5 * rows * nx);
+    auto push = [this](std::size_t col, double v) {
+      cols.push_back(static_cast<std::uint32_t>(col));
+      vals.push_back(v);
+    };
     std::size_t k = 0;
     for (std::size_t r = 1; r <= rows; ++r) {
       const std::size_t gy = offset + r - 1;
       for (std::size_t j = 0; j < nx; ++j) {
         // Ascending column order: up, west, diag, east, down — the fixed
         // accumulation order every variant and the reference share.
-        if (gy > 0) {
-          cols.push_back(idx(r - 1, j));
-          vals.push_back(-1.0);
-        }
-        if (j > 0) {
-          cols.push_back(idx(r, j - 1));
-          vals.push_back(-1.0);
-        }
-        cols.push_back(idx(r, j));
-        vals.push_back(4.0);
-        if (j + 1 < nx) {
-          cols.push_back(idx(r, j + 1));
-          vals.push_back(-1.0);
-        }
-        if (gy + 1 < ny) {
-          cols.push_back(idx(r + 1, j));
-          vals.push_back(-1.0);
-        }
+        if (gy > 0) push(idx(r - 1, j), -1.0);
+        if (j > 0) push(idx(r, j - 1), -1.0);
+        push(idx(r, j), 4.0);
+        if (j + 1 < nx) push(idx(r, j + 1), -1.0);
+        if (gy + 1 < ny) push(idx(r + 1, j), -1.0);
         ++k;
-        row_ptr[k] = cols.size();
+        row_ptr[k] = static_cast<std::uint32_t>(cols.size());
       }
     }
   }
 
   [[nodiscard]] std::size_t nnz() const { return cols.size(); }
 
-  /// q = A p via the CSR rows (reads p halo rows through the local cols).
+  /// Row `row` of A·p (reads p halo rows through the local cols).
+  [[nodiscard]] double spmv_row(std::span<const double> p,
+                                std::size_t row) const {
+    double acc = 0.0;
+    for (std::uint32_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
+      acc += vals[k] * p[cols[k]];
+    }
+    return acc;
+  }
+
+  /// q = A p via the CSR rows.
   void spmv(std::span<const double> p, std::span<double> q) const {
     for (std::size_t row = 0; row < rows * nx; ++row) {
-      double acc = 0.0;
-      for (std::size_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
-        acc += vals[k] * p[cols[k]];
-      }
-      q[nx + row] = acc;  // interior rows start at layout row 1
+      q[nx + row] = spmv_row(p, row);  // interior rows start at layout row 1
     }
   }
 
+  /// Fused spmv + dot(p, q): writes q = A p and returns Σ p·q, accumulated
+  /// in dot()'s row order, so the result is bitwise dot(p, q) after spmv.
+  [[nodiscard]] double spmv_dot(std::span<const double> p,
+                                std::span<double> q) const {
+    double pq = 0.0;
+    for (std::size_t row = 0; row < rows * nx; ++row) {
+      const double v = spmv_row(p, row);
+      q[nx + row] = v;
+      pq += p[nx + row] * v;
+    }
+    return pq;
+  }
+
+  // The vector phases walk the interior, layout rows 1..rows: the indices
+  // [nx, (rows+1)*nx), in the same order as the SpMV rows.
   [[nodiscard]] double dot(std::span<const double> a,
                            std::span<const double> b) const {
     double acc = 0.0;
-    for (std::size_t r = 1; r <= rows; ++r) {
-      for (std::size_t j = 0; j < nx; ++j) acc += a[idx(r, j)] * b[idx(r, j)];
-    }
+    for (std::size_t i = nx; i < (rows + 1) * nx; ++i) acc += a[i] * b[i];
     return acc;
   }
 
   void axpy2(double alpha, std::span<const double> p, std::span<const double> q,
              std::span<double> x, std::span<double> r_vec) const {
-    for (std::size_t r = 1; r <= rows; ++r) {
-      for (std::size_t j = 0; j < nx; ++j) {
-        x[idx(r, j)] += alpha * p[idx(r, j)];
-        r_vec[idx(r, j)] -= alpha * q[idx(r, j)];
-      }
+    for (std::size_t i = nx; i < (rows + 1) * nx; ++i) {
+      x[i] += alpha * p[i];
+      r_vec[i] -= alpha * q[i];
     }
+  }
+
+  /// Fused axpy2 + dot(r, r): updates x and r and returns Σ r·r of the new
+  /// r, bitwise dot(r, r) after axpy2.
+  [[nodiscard]] double axpy2_dot(double alpha, std::span<const double> p,
+                                 std::span<const double> q,
+                                 std::span<double> x,
+                                 std::span<double> r_vec) const {
+    double rr = 0.0;
+    for (std::size_t i = nx; i < (rows + 1) * nx; ++i) {
+      x[i] += alpha * p[i];
+      r_vec[i] -= alpha * q[i];
+      rr += r_vec[i] * r_vec[i];
+    }
+    return rr;
   }
 
   void p_update(double beta, std::span<const double> r_vec,
                 std::span<double> p) const {
-    for (std::size_t r = 1; r <= rows; ++r) {
-      for (std::size_t j = 0; j < nx; ++j) {
-        p[idx(r, j)] = r_vec[idx(r, j)] + beta * p[idx(r, j)];
-      }
+    for (std::size_t i = nx; i < (rows + 1) * nx; ++i) {
+      p[i] = r_vec[i] + beta * p[i];
     }
   }
 
@@ -244,7 +272,44 @@ std::vector<std::size_t> split_rows_weighted(std::size_t ny, int ranks,
   return rows;
 }
 
+void SparseCgConfig::validate(int ranks) const {
+  if (ranks < 1) {
+    throw std::invalid_argument("SparseCgConfig: ranks must be >= 1");
+  }
+  if (nx < 1) throw std::invalid_argument("SparseCgConfig.nx must be >= 1");
+  if (max_iterations < 1) {
+    throw std::invalid_argument("SparseCgConfig.max_iterations must be >= 1");
+  }
+  if (ny < 2 * static_cast<std::size_t>(ranks)) {
+    throw std::invalid_argument(
+        "SparseCgConfig.ny must be >= 2 * ranks (two rows per rank)");
+  }
+  constexpr std::size_t kMaxIndex = std::numeric_limits<std::uint32_t>::max();
+  const auto rows = split_rows_weighted(ny, ranks, imbalance);
+  std::size_t offset = 0;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const std::size_t n = rows[r];
+    // Layout first (division: no overflow); then nnz, exactly: every point
+    // has diag, west/east except on the x edges, up/down except on the
+    // global top and bottom rows.
+    bool fits = nx <= kMaxIndex / (n + 2);
+    if (fits) {
+      const std::size_t nnz = n * nx + 2 * n * (nx - 1) +
+                              nx * (n - (offset == 0 ? 1 : 0)) +
+                              nx * (n - (offset + n == ny ? 1 : 0));
+      fits = nnz <= kMaxIndex;
+    }
+    if (!fits) {
+      throw std::invalid_argument(
+          "SparseCgConfig.nx x ny: rank " + std::to_string(r) +
+          "'s CSR does not fit 32-bit indices");
+    }
+    offset += n;
+  }
+}
+
 double sparse_partition_imbalance(const SparseCgConfig& config, int ranks) {
+  config.validate(ranks);
   return nnz_imbalance(make_sparse_states(config, ranks));
 }
 
@@ -350,6 +415,7 @@ CgResult compute_reference(const SparseCgConfig& cfg, int ranks) {
 }  // namespace
 
 CgResult sparse_cg_reference(const SparseCgConfig& cfg, int ranks) {
+  cfg.validate(ranks);
   static sim::Memo<ReferenceKey, CgResult, sim::kReferenceMemoCapacity> memo;
   const ReferenceKey key{cfg.nx,        cfg.ny,        cfg.max_iterations,
                          cfg.tolerance, cfg.imbalance, ranks};
@@ -514,45 +580,38 @@ exec::ProgramGroups build_sparse_groups(SparseCgCore& core, int dev,
               /*is_write=*/false, "p_halo_read");
         }
       }
+      // The body of a compute phase runs at phase start, and no peer writes
+      // interior rows between spmv_csr and dot_pq, so the fused body computes
+      // pq_local up front; dot_pq keeps its cost and name with no body.
+      double pq_local = 0.0;
       std::function<void()> f_spmv;
       if (cfg.functional) {
-        f_spmv = [st, &p, &q, dev] { st->spmv(p.on(dev), q.on(dev)); };
+        f_spmv = [st, &p, &q, dev, &pq_local] {
+          pq_local = st->spmv_dot(p.on(dev), q.on(dev));
+        };
       }
       // The nnz-proportional cost is where the weighted partition bites:
       // heavy ranks stream more CSR entries every iteration.
       co_await k.compute(st->spmv_bytes(), 1.0, "spmv_csr",
                          std::move(f_spmv));
-
-      double pq_local = 0.0;
-      std::function<void()> f_dot1;
-      if (cfg.functional) {
-        f_dot1 = [st, &p, &q, dev, &pq_local] {
-          pq_local = st->dot(p.on(dev), q.on(dev));
-        };
-      }
-      co_await k.compute(pts * kDotBytes, 1.0, "dot_pq", std::move(f_dot1));
+      CO_AWAIT(k.compute(pts * kDotBytes, 1.0, "dot_pq", {}));
       CO_AWAIT(exec::allreduce_put_wait(world, k, slots0, *sigp,
                                         /*flag_base=*/0, dev, n, t, pq_local,
                                         cfg.functional));
       const double pq = cfg.functional ? sum_slots(slots0) : 1.0;
       const double alpha = cfg.functional ? rz / pq : 0.0;
 
+      // Fused likewise: axpy's body also yields rr_local for dot_rr.
+      double rr_local = 0.0;
       std::function<void()> f_axpy;
       if (cfg.functional) {
-        f_axpy = [st, alpha, &p, &q, &x, &r, dev] {
-          st->axpy2(alpha, p.on(dev), q.on(dev), x.on(dev), r.on(dev));
+        f_axpy = [st, alpha, &p, &q, &x, &r, dev, &rr_local] {
+          rr_local =
+              st->axpy2_dot(alpha, p.on(dev), q.on(dev), x.on(dev), r.on(dev));
         };
       }
       co_await k.compute(pts * kAxpy2Bytes, 1.0, "axpy", std::move(f_axpy));
-
-      double rr_local = 0.0;
-      std::function<void()> f_dot2;
-      if (cfg.functional) {
-        f_dot2 = [st, &r, dev, &rr_local] {
-          rr_local = st->dot(r.on(dev), r.on(dev));
-        };
-      }
-      co_await k.compute(pts * kDotBytes, 1.0, "dot_rr", std::move(f_dot2));
+      CO_AWAIT(k.compute(pts * kDotBytes, 1.0, "dot_rr", {}));
       CO_AWAIT(exec::allreduce_put_wait(
           world, k, slots1, *sigp,
           /*flag_base=*/static_cast<std::size_t>(n), dev, n, t, rr_local,
@@ -644,6 +703,7 @@ CgResult finish_run(vgpu::Machine& machine, int iterations, int iters_run,
 
 CgResult run_sparse_cg(const vgpu::MachineSpec& spec,
                        const SparseCgConfig& cfg, const exec::Plan& plan) {
+  cfg.validate(spec.num_devices);
   const bool persistent = plan.launch == exec::LaunchPolicy::kPersistent &&
                           exec::valid(plan);
   const bool host_staged = plan.launch == exec::LaunchPolicy::kHostLoop &&
@@ -792,8 +852,7 @@ CgResult run_sparse_cg(const vgpu::MachineSpec& spec,
     std::function<void()> f1;
     if (cfg.functional) {
       f1 = [st, &p, &q, dev, pq_partial] {
-        st->spmv(p.on(dev), q.on(dev));
-        *pq_partial = st->dot(p.on(dev), q.on(dev));
+        *pq_partial = st->spmv_dot(p.on(dev), q.on(dev));
       };
     }
     {
@@ -829,8 +888,8 @@ CgResult run_sparse_cg(const vgpu::MachineSpec& spec,
     std::function<void()> f2;
     if (cfg.functional) {
       f2 = [st, alpha, &p, &q, &x, &r, dev, rr_partial] {
-        st->axpy2(alpha, p.on(dev), q.on(dev), x.on(dev), r.on(dev));
-        *rr_partial = st->dot(r.on(dev), r.on(dev));
+        *rr_partial =
+            st->axpy2_dot(alpha, p.on(dev), q.on(dev), x.on(dev), r.on(dev));
       };
     }
     {
@@ -902,6 +961,7 @@ SparseCgCpufreeJob::SparseCgCpufreeJob(vgpu::Machine& machine,
                                        vshmem::World& world,
                                        const SparseCgConfig& config)
     : impl_(std::make_unique<Impl>()) {
+  config.validate(world.n_pes());
   impl_->machine = &machine;
   impl_->core = make_sparse_core(world, machine.spec(), config);
   impl_->plan =

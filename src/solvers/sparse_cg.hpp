@@ -57,6 +57,13 @@ struct SparseCgConfig {
   /// run.
   sim::JobMap* job_map = nullptr;
   std::string job_label;
+
+  /// Throws std::invalid_argument naming the first field that cannot drive
+  /// a run on `ranks` ranks: nx and max_iterations must be >= 1, ny >= 2 *
+  /// ranks (every rank keeps two rows), and every rank's halo-extended
+  /// layout and CSR nonzeros must fit the 32-bit CSR indices. Every entry
+  /// point below calls it first.
+  void validate(int ranks) const;
 };
 
 /// Weighted row split: rank r's weight tapers linearly from `imbalance`

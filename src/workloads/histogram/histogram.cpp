@@ -42,16 +42,8 @@ HistogramGeometry::HistogramGeometry(const HistogramConfig& cfg, int ranks)
   // Even base, remainder to the low owners — so skewed key streams hit
   // owner 0 both with more bins AND with the hot low-bin mass.
   const auto n = static_cast<std::size_t>(ranks);
-  const std::size_t base = cfg.bins / n;
-  const std::size_t rem = cfg.bins % n;
-  std::size_t off = 0;
-  for (std::size_t o = 0; o < n; ++o) {
-    const std::size_t c = base + (o < rem ? 1 : 0);
-    start_.push_back(off);
-    count_.push_back(c);
-    stride_ = std::max(stride_, c);
-    off += c;
-  }
+  base_ = cfg.bins / n;
+  rem_ = cfg.bins % n;
   edges_.resize(static_cast<std::size_t>(cfg.rounds) * n * n);
   for (int t = 1; t <= cfg.rounds; ++t) {
     for (int s = 0; s < ranks; ++s) {
@@ -72,13 +64,6 @@ HistogramGeometry::HistogramGeometry(const HistogramConfig& cfg, int ranks)
   }
 }
 
-int HistogramGeometry::owner_of(std::size_t bin) const {
-  for (std::size_t o = 0; o + 1 < start_.size(); ++o) {
-    if (bin < start_[o + 1]) return static_cast<int>(o);
-  }
-  return ranks_ - 1;
-}
-
 double HistogramGeometry::imbalance() const {
   // Integer-valued sums, so the per-owner totals are exact in any order.
   const auto n = static_cast<std::size_t>(ranks_);
@@ -93,6 +78,37 @@ double HistogramGeometry::imbalance() const {
   }
   const double mean = total / static_cast<double>(ranks_);
   return mean > 0.0 ? peak / mean : 1.0;
+}
+
+namespace {
+
+/// Everything the geometry and histogram_reference read, and nothing else
+/// (their sim::Memo key).
+struct ConfigKey {
+  std::size_t bins = 0;
+  std::size_t keys_per_round = 0;
+  int rounds = 0;
+  int skew = 0;
+  std::uint64_t seed = 0;
+  int ranks = 0;
+
+  bool operator==(const ConfigKey&) const = default;
+};
+
+ConfigKey key_of(const HistogramConfig& cfg, int ranks) {
+  return {cfg.bins, cfg.keys_per_round, cfg.rounds, cfg.skew, cfg.seed, ranks};
+}
+
+}  // namespace
+
+std::shared_ptr<const HistogramGeometry> histogram_geometry(
+    const HistogramConfig& cfg, int ranks) {
+  static sim::Memo<ConfigKey, std::shared_ptr<const HistogramGeometry>,
+                   sim::kReferenceMemoCapacity>
+      memo;
+  return memo.get(key_of(cfg, ranks), [&] {
+    return std::make_shared<const HistogramGeometry>(cfg, ranks);
+  });
 }
 
 namespace {
@@ -112,12 +128,12 @@ constexpr double kKeygenBytes = 8.0;  // generate/stage one key
 ///          [n,2n) "round consumed by owner o" (the ack, set at the source).
 struct HistCore {
   HistCore(vshmem::World& w, const HistogramConfig& c)
-      : cfg(c), world(&w), n(w.n_pes()), geo(c, n) {}
+      : cfg(c), world(&w), n(w.n_pes()), geo(histogram_geometry(c, n)) {}
 
   HistogramConfig cfg;
   vshmem::World* world = nullptr;
   int n = 0;
-  HistogramGeometry geo;
+  std::shared_ptr<const HistogramGeometry> geo;
   vshmem::Sym<double> bins, xfer;
   std::unique_ptr<vshmem::SignalSet> sig;
 };
@@ -125,16 +141,17 @@ struct HistCore {
 std::unique_ptr<HistCore> make_hist_core(vshmem::World& world,
                                          const HistogramConfig& cfg) {
   auto core = std::make_unique<HistCore>(world, cfg);
-  core->bins = world.alloc<double>(core->geo.stride(), "hist_bins");
+  core->bins = world.alloc<double>(core->geo->stride(), "hist_bins");
   core->xfer = world.alloc<double>(
-      2 * static_cast<std::size_t>(core->n) * core->geo.stride(), "hist_xfer");
+      2 * static_cast<std::size_t>(core->n) * core->geo->stride(),
+      "hist_xfer");
   // No presets: the round-1 ack wait is `>= 0`, trivially satisfied.
   core->sig = world.alloc_signals(2 * static_cast<std::size_t>(core->n));
   return core;
 }
 
 std::size_t row_off(HistCore& core, std::size_t row) {
-  return row * core.geo.stride();
+  return row * core.geo->stride();
 }
 
 /// Functional numerics of the local phase: zero my partial rows, then fold
@@ -148,15 +165,15 @@ void accumulate_partials(HistCore& core, int me, int t, bool remote_only,
   for (int o = 0; o < core.n; ++o) {
     if ((remote_only && o == me) || (self_only && o != me)) continue;
     auto row = rows.subspan(row_off(core, static_cast<std::size_t>(o)),
-                            core.geo.count(o));
+                            core.geo->count(o));
     std::fill(row.begin(), row.end(), 0.0);
   }
   for (std::size_t i = 0; i < cfg.keys_per_round; ++i) {
     const std::size_t bin = histogram_key_bin(cfg, me, t, i);
-    const int o = core.geo.owner_of(bin);
+    const int o = core.geo->owner_of(bin);
     if ((remote_only && o == me) || (self_only && o != me)) continue;
-    rows[row_off(core, static_cast<std::size_t>(o)) + bin - core.geo.start(o)] +=
-        histogram_key_weight(cfg, me, t, i);
+    rows[row_off(core, static_cast<std::size_t>(o)) + bin -
+         core.geo->start(o)] += histogram_key_weight(cfg, me, t, i);
   }
 }
 
@@ -168,7 +185,7 @@ void merge_round(HistCore& core, int me, int t) {
   auto rows = core.xfer.on(me);
   auto my_bins = core.bins.on(me);
   for (int s = 0; s < core.n; ++s) {
-    const HistogramGeometry::Edge& tr = core.geo.edge(s, t, me);
+    const HistogramGeometry::Edge& tr = core.geo->edge(s, t, me);
     if (!tr.any()) continue;
     const std::size_t row =
         s == me ? static_cast<std::size_t>(me)
@@ -182,7 +199,7 @@ void merge_round(HistCore& core, int me, int t) {
 /// Keys `me` draws in round `t` that belong to remote owners (sizes the
 /// overlap composition's comm-kernel share of the local phase).
 std::size_t remote_keys(HistCore& core, int me, int t) {
-  return core.cfg.keys_per_round - core.geo.edge(me, t, me).keys;
+  return core.cfg.keys_per_round - core.geo->edge(me, t, me).keys;
 }
 
 /// Owner-side merge traffic of round `t` (data-dependent: only touched
@@ -190,7 +207,7 @@ std::size_t remote_keys(HistCore& core, int me, int t) {
 double merge_bytes(HistCore& core, int me, int t) {
   double slots = 0.0;
   for (int s = 0; s < core.n; ++s) {
-    slots += static_cast<double>(core.geo.edge(s, t, me).slots());
+    slots += static_cast<double>(core.geo->edge(s, t, me).slots());
   }
   return slots * kMergeBytes;
 }
@@ -200,7 +217,7 @@ void observe_partial_writes(HistCore& core, vgpu::KernelCtx& k, int me,
                             int t, bool remote_only, bool self_only) {
   for (int o = 0; o < core.n; ++o) {
     if ((remote_only && o == me) || (self_only && o != me)) continue;
-    const HistogramGeometry::Edge& tr = core.geo.edge(me, t, o);
+    const HistogramGeometry::Edge& tr = core.geo->edge(me, t, o);
     if (!tr.any()) continue;
     k.obs_access(
         sim::MemRange::of(core.xfer.on(me),
@@ -216,7 +233,7 @@ void observe_partial_writes(HistCore& core, vgpu::KernelCtx& k, int me,
 void observe_merge(HistCore& core, vgpu::KernelCtx& k, int me, int t) {
   HistogramGeometry::Edge un;
   for (int s = 0; s < core.n; ++s) {
-    const HistogramGeometry::Edge& tr = core.geo.edge(s, t, me);
+    const HistogramGeometry::Edge& tr = core.geo->edge(s, t, me);
     if (!tr.any()) continue;
     const std::size_t row =
         s == me ? static_cast<std::size_t>(me)
@@ -244,7 +261,7 @@ sim::Task flush_rows_staged(HistCore& core, vgpu::HostCtx& h,
   vshmem::World& w = *core.world;
   for (int o = 0; o < core.n; ++o) {
     if (o == dev) continue;
-    const HistogramGeometry::Edge& tr = core.geo.edge(dev, t, o);
+    const HistogramGeometry::Edge& tr = core.geo->edge(dev, t, o);
     if (!tr.any()) continue;
     const std::size_t src =
         row_off(core, static_cast<std::size_t>(o)) + tr.lo;
@@ -276,7 +293,7 @@ sim::Task launch_merge_kernel(HistCore& core, vgpu::HostCtx& h,
   vgpu::LaunchConfig lc;
   lc.threads_per_block = core.cfg.threads_per_block;
   lc.name = "hist_merge";
-  const int blocks = exec::discrete_blocks(core.geo.count(dev),
+  const int blocks = exec::discrete_blocks(core.geo->count(dev),
                                            core.cfg.threads_per_block);
   std::function<void()> fnl;
   if (core.cfg.functional) {
@@ -419,7 +436,7 @@ sim::Task peer_store_step(HistCore& core, const exec::Plan& plan,
         "hist_local", std::move(f));
     for (int o = 0; o < core.n; ++o) {
       if (o == dev) continue;
-      const HistogramGeometry::Edge& tr = core.geo.edge(dev, t, o);
+      const HistogramGeometry::Edge& tr = core.geo->edge(dev, t, o);
       if (!tr.any()) continue;
       const std::size_t src =
           row_off(core, static_cast<std::size_t>(o)) + tr.lo;
@@ -480,7 +497,7 @@ sim::Task signaled_local_phase(HistCore& core, vgpu::KernelCtx& k,
   // owner's merge wait must see every source).
   for (int o = 0; o < core.n; ++o) {
     if (o == dev) continue;
-    const HistogramGeometry::Edge& tr = core.geo.edge(dev, t, o);
+    const HistogramGeometry::Edge& tr = core.geo->edge(dev, t, o);
     if (tr.any()) {
       co_await proto.put_and_signal(
           k, core.xfer, row_off(core, static_cast<std::size_t>(o)) + tr.lo,
@@ -545,7 +562,7 @@ sim::Task signaled_step(HistCore& core, const exec::Plan& plan,
   std::function<sim::Task(vgpu::KernelCtx&)> merge_fn = std::move(merge_body);
   CO_AWAIT(h.launch_single(
       stream, lm,
-      exec::discrete_blocks(core.geo.count(dev), core.cfg.threads_per_block),
+      exec::discrete_blocks(core.geo->count(dev), core.cfg.threads_per_block),
       std::move(merge_fn)));
   vgpu::Stream* const streams[] = {&stream};
   co_await exec::end_host_step(h, plan.sync, streams);
@@ -647,27 +664,15 @@ std::vector<double> gather(HistCore& core) {
   std::vector<double> out(core.cfg.bins, 0.0);
   for (int o = 0; o < core.n; ++o) {
     auto slice = core.bins.on(o);
-    for (std::size_t b = 0; b < core.geo.count(o); ++b) {
-      out[core.geo.start(o) + b] = slice[b];
+    for (std::size_t b = 0; b < core.geo->count(o); ++b) {
+      out[core.geo->start(o) + b] = slice[b];
     }
   }
   return out;
 }
 
-/// Everything histogram_reference reads, and nothing else (sim::Memo key).
-struct ReferenceKey {
-  std::size_t bins = 0;
-  std::size_t keys_per_round = 0;
-  int rounds = 0;
-  int skew = 0;
-  std::uint64_t seed = 0;
-  int ranks = 0;
-
-  bool operator==(const ReferenceKey&) const = default;
-};
-
 std::vector<double> compute_reference(const HistogramConfig& cfg, int ranks) {
-  const HistogramGeometry geo(cfg, ranks);
+  const auto geo = histogram_geometry(cfg, ranks);
   std::vector<double> bins(cfg.bins, 0.0);
   std::vector<std::vector<double>> partial(
       static_cast<std::size_t>(ranks));
@@ -685,9 +690,9 @@ std::vector<double> compute_reference(const HistogramConfig& cfg, int ranks) {
     // Each owner folds the sources in fixed order over their touched slots
     // — the same reduction the distributed merge performs.
     for (int o = 0; o < ranks; ++o) {
-      const std::size_t start = geo.start(o);
+      const std::size_t start = geo->start(o);
       for (int s = 0; s < ranks; ++s) {
-        const HistogramGeometry::Edge& tr = geo.edge(s, t, o);
+        const HistogramGeometry::Edge& tr = geo->edge(s, t, o);
         if (!tr.any()) continue;
         for (std::size_t slot = tr.lo; slot <= tr.hi; ++slot) {
           bins[start + slot] +=
@@ -704,16 +709,15 @@ std::vector<double> compute_reference(const HistogramConfig& cfg, int ranks) {
 std::vector<double> histogram_reference(const HistogramConfig& cfg,
                                         int ranks) {
   cfg.validate();
-  static sim::Memo<ReferenceKey, std::vector<double>,
+  static sim::Memo<ConfigKey, std::vector<double>,
                    sim::kReferenceMemoCapacity>
       memo;
-  const ReferenceKey key{cfg.bins, cfg.keys_per_round, cfg.rounds,
-                         cfg.skew, cfg.seed,           ranks};
-  return memo.get(key, [&] { return compute_reference(cfg, ranks); });
+  return memo.get(key_of(cfg, ranks),
+                  [&] { return compute_reference(cfg, ranks); });
 }
 
 double histogram_imbalance(const HistogramConfig& cfg, int ranks) {
-  return HistogramGeometry(cfg, ranks).imbalance();
+  return histogram_geometry(cfg, ranks)->imbalance();
 }
 
 HistogramResult run_histogram(const vgpu::MachineSpec& spec,
@@ -736,7 +740,7 @@ HistogramResult run_histogram(const vgpu::MachineSpec& spec,
                                      cfg.rounds);
   cpufree::apply_fault_stats(res.metrics, machine.faults().stats());
   if (cfg.functional) res.bins = gather(*core);
-  res.imbalance = core->geo.imbalance();
+  res.imbalance = core->geo->imbalance();
   return res;
 }
 
@@ -780,7 +784,7 @@ std::vector<double> HistogramCpufreeJob::gather_bins() const {
 }
 
 double HistogramCpufreeJob::imbalance() const {
-  return impl_->core->geo.imbalance();
+  return impl_->core->geo->imbalance();
 }
 
 }  // namespace workloads

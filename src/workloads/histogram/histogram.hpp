@@ -29,6 +29,7 @@
 // fed by the regular slab workloads.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -132,15 +133,24 @@ class HistogramGeometry {
   /// throws std::invalid_argument unless ranks >= 1.
   HistogramGeometry(const HistogramConfig& cfg, int ranks);
 
+  /// Owners [0, rem) hold base + 1 bins each, the others base.
   [[nodiscard]] std::size_t start(int owner) const {
-    return start_[static_cast<std::size_t>(owner)];
+    const auto o = static_cast<std::size_t>(owner);
+    return o * base_ + std::min(o, rem_);
   }
   [[nodiscard]] std::size_t count(int owner) const {
-    return count_[static_cast<std::size_t>(owner)];
+    return base_ + (static_cast<std::size_t>(owner) < rem_ ? 1 : 0);
   }
   /// Largest owner slice: the symmetric transfer-row pitch.
-  [[nodiscard]] std::size_t stride() const { return stride_; }
-  [[nodiscard]] int owner_of(std::size_t bin) const;
+  [[nodiscard]] std::size_t stride() const {
+    return base_ + (rem_ > 0 ? 1 : 0);
+  }
+  /// The owner of `bin` (< cfg.bins), in closed form: no scan over owners.
+  [[nodiscard]] int owner_of(std::size_t bin) const {
+    const std::size_t wide = rem_ * (base_ + 1);  // bins of the wide owners
+    return static_cast<int>(bin < wide ? bin / (base_ + 1)
+                                       : rem_ + (bin - wide) / base_);
+  }
   /// `round` is 1-based, as in the run.
   [[nodiscard]] const Edge& edge(int source, int round, int owner) const {
     return edges_[index(source, round, owner)];
@@ -158,11 +168,17 @@ class HistogramGeometry {
   }
 
   int ranks_ = 0;
-  std::vector<std::size_t> start_;
-  std::vector<std::size_t> count_;
-  std::size_t stride_ = 0;
+  std::size_t base_ = 0;  // bins / ranks
+  std::size_t rem_ = 0;   // bins % ranks
   std::vector<Edge> edges_;  // [round-1][source][owner]
 };
+
+/// The geometry of (cfg, ranks), shared: memoized (sim::Memo) under the
+/// histogram reference's key — (bins, keys_per_round, rounds, skew, seed,
+/// ranks) — so every run of a config and its reference build it once.
+/// Validates like the constructor.
+[[nodiscard]] std::shared_ptr<const HistogramGeometry> histogram_geometry(
+    const HistogramConfig& cfg, int ranks);
 
 /// Serial reference with the distributed merge's source-order reduction,
 /// so `ranks`-PE runs match bitwise under every policy triple. Memoized

@@ -3,9 +3,11 @@
 // under every policy triple, on every machine model, at every engine
 // thread count — and its skew knob must actually produce the partition
 // imbalance the contention figures claim. The suite also pins the
-// histogram's geometry table against a brute-force key scan and the
-// serial-reference memo's contract (purity, key completeness, thread
-// safety), so both run under the Release, ASan and TSan CI jobs.
+// histogram's geometry table against a brute-force key scan, the
+// serial-reference and geometry memos' contract (purity, key completeness,
+// thread safety), sparse CG's config validation and its fused kernel
+// bodies against the unfused reference, so all of it runs under the
+// Release, ASan and TSan CI jobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -761,6 +763,231 @@ TEST(ReferenceMemo, ConcurrentCallersSeeTheSerialResults) {
       EXPECT_EQ(got[static_cast<std::size_t>(t)][static_cast<std::size_t>(r)],
                 serial[static_cast<std::size_t>((t * 5 + r) % kConfigs)])
           << "thread " << t << " call " << r;
+    }
+  }
+}
+
+// --- Sparse CG config validation --------------------------------------------
+
+/// Every sparse-CG entry point must reject `cfg` on `ranks` ranks, naming
+/// `what` in the message.
+void expect_every_sparse_entry_rejects(const solvers::SparseCgConfig& cfg,
+                                       int ranks, const std::string& what) {
+  expect_rejects(
+      [&] {
+        (void)solvers::run_sparse_cg(MachineSpec::hgx_a100(ranks), cfg,
+                                     sparse_cpufree_plan());
+      },
+      what, "run_sparse_cg");
+  expect_rejects([&] { (void)solvers::sparse_cg_reference(cfg, ranks); },
+                 what, "sparse_cg_reference");
+  expect_rejects(
+      [&] { (void)solvers::sparse_partition_imbalance(cfg, ranks); }, what,
+      "sparse_partition_imbalance");
+  expect_rejects(
+      [&] {
+        vgpu::Machine machine(MachineSpec::hgx_a100(ranks));
+        vshmem::World world(machine);
+        solvers::SparseCgCpufreeJob job(machine, world, cfg);
+      },
+      what, "SparseCgCpufreeJob");
+}
+
+TEST(SparseValidate, RejectsNxBelowOne) {
+  solvers::SparseCgConfig cfg = small_sparse(1.0);
+  cfg.nx = 0;
+  expect_every_sparse_entry_rejects(cfg, 2, "nx");
+}
+
+TEST(SparseValidate, RejectsMaxIterationsBelowOne) {
+  solvers::SparseCgConfig cfg = small_sparse(1.0);
+  cfg.max_iterations = 0;
+  expect_every_sparse_entry_rejects(cfg, 2, "max_iterations");
+}
+
+TEST(SparseValidate, RejectsNyBelowTwoRowsPerRank) {
+  // ny = 3 on 4 ranks used to run a rank with no rows at all.
+  solvers::SparseCgConfig cfg = small_sparse(1.0);
+  cfg.ny = 3;
+  expect_every_sparse_entry_rejects(cfg, 4, "ny");
+  cfg.ny = 7;
+  cfg.imbalance = 4.0;
+  expect_every_sparse_entry_rejects(cfg, 4, "ny");
+  cfg.ny = 8;  // exactly two rows per rank is enough
+  EXPECT_EQ(solvers::sparse_cg_reference(cfg, 4).rr_history,
+            solvers::run_sparse_cg(MachineSpec::hgx_a100(4), cfg,
+                                   sparse_cpufree_plan())
+                .rr_history);
+}
+
+TEST(SparseValidate, RejectsCsrBeyond32BitIndices) {
+  // Two rows per rank: the halo-extended layout is 4 * nx entries.
+  solvers::SparseCgConfig cfg = small_sparse(1.0);
+  cfg.ny = 4;
+  cfg.nx = std::size_t{1} << 31;  // layout 2^33
+  expect_every_sparse_entry_rejects(cfg, 2, "32-bit");
+  // The layout fits (4 * nx < 2^32), but the 8 * nx - 4 nonzeros do not.
+  cfg.ny = 2;
+  cfg.nx = (std::size_t{1} << 30) - 1;
+  expect_every_sparse_entry_rejects(cfg, 1, "32-bit");
+}
+
+// --- Fused kernels on the early-exit path -----------------------------------
+
+class SparseCgEarlyExit
+    : public ::testing::TestWithParam<std::tuple<int, double, bool>> {};
+
+TEST_P(SparseCgEarlyExit, FusedResidualsMatchTheUnfusedReference) {
+  // Converges well inside the cap, so the last fused axpy2_dot feeds the
+  // convergence test that returns before p_update.
+  const auto [ranks, imbalance, cpu_free] = GetParam();
+  solvers::SparseCgConfig cfg = small_sparse(imbalance);
+  cfg.nx = 9;  // odd row length
+  cfg.ny = 16;
+  cfg.max_iterations = 100;
+  const solvers::CgResult ref = solvers::sparse_cg_reference(cfg, ranks);
+  const solvers::CgResult got = solvers::run_sparse_cg(
+      MachineSpec::hgx_a100(ranks), cfg,
+      cpu_free ? sparse_cpufree_plan() : sparse_baseline_plan());
+  EXPECT_LT(got.iterations_run, cfg.max_iterations);
+  EXPECT_LT(got.final_rr, cfg.tolerance);
+  EXPECT_EQ(got.iterations_run, ref.iterations_run);
+  EXPECT_EQ(bits(got), bits(ref));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Partitions, SparseCgEarlyExit,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4),
+                       ::testing::Values(1.0, 2.5, 4.0), ::testing::Bool()));
+
+// --- Histogram geometry: closed-form owners and one table per config ---------
+
+TEST(HistGeometry, OwnerOfMatchesTheScanForEveryBin) {
+  for (int ranks = 1; ranks <= 8; ++ranks) {
+    const auto n = static_cast<std::size_t>(ranks);
+    // Divisible by ranks, not divisible, and fewer bins than ranks.
+    for (std::size_t bins : {7 * n, 7 * n + 1, 7 * n + n / 2, std::size_t{97},
+                             std::size_t{5}}) {
+      HistogramConfig cfg = small_hist();
+      cfg.bins = bins;
+      cfg.keys_per_round = 1;
+      cfg.rounds = 1;
+      const HistogramGeometry geo(cfg, ranks);
+      // The partition as the original constructor built it, and its scan.
+      std::vector<std::size_t> start;
+      std::size_t off = 0;
+      for (std::size_t o = 0; o < n; ++o) {
+        start.push_back(off);
+        off += bins / n + (o < bins % n ? 1 : 0);
+      }
+      for (std::size_t bin = 0; bin < bins; ++bin) {
+        int scan = ranks - 1;
+        for (std::size_t o = 0; o + 1 < n; ++o) {
+          if (bin < start[o + 1]) {
+            scan = static_cast<int>(o);
+            break;
+          }
+        }
+        EXPECT_EQ(geo.owner_of(bin), scan)
+            << "ranks=" << ranks << " bins=" << bins << " bin=" << bin;
+      }
+    }
+  }
+}
+
+TEST(HistGeometryMemo, SameKeySharesOneTable) {
+  const HistogramConfig cfg = small_hist();
+  const auto a = workloads::histogram_geometry(cfg, 4);
+  const auto b = workloads::histogram_geometry(cfg, 4);
+  EXPECT_EQ(a.get(), b.get());
+}
+
+TEST(HistGeometryMemo, EveryKeyedFieldGivesADifferentTable) {
+  const HistogramConfig cfg = small_hist();
+  const auto base = workloads::histogram_geometry(cfg, 4);
+  HistogramConfig c = cfg;
+  c.bins = 101;
+  EXPECT_NE(workloads::histogram_geometry(c, 4).get(), base.get()) << "bins";
+  c = cfg;
+  c.keys_per_round = 511;
+  EXPECT_NE(workloads::histogram_geometry(c, 4).get(), base.get())
+      << "keys_per_round";
+  c = cfg;
+  c.rounds = 3;
+  EXPECT_NE(workloads::histogram_geometry(c, 4).get(), base.get()) << "rounds";
+  c = cfg;
+  c.skew = 1;
+  EXPECT_NE(workloads::histogram_geometry(c, 4).get(), base.get()) << "skew";
+  c = cfg;
+  c.seed = 43;
+  EXPECT_NE(workloads::histogram_geometry(c, 4).get(), base.get()) << "seed";
+  EXPECT_NE(workloads::histogram_geometry(cfg, 3).get(), base.get())
+      << "ranks";
+}
+
+TEST(HistGeometryMemo, IgnoresFieldsOutsideTheKey) {
+  sim::Observer observer;
+  const HistogramConfig cfg = small_hist();
+  const auto base = workloads::histogram_geometry(cfg, 4);
+  HistogramConfig c = cfg;
+  c.observer = &observer;
+  c.trace = !cfg.trace;
+  c.threads_per_block = 32;
+  c.persistent_blocks = 3;
+  c.functional = !cfg.functional;
+  c.job_label = "tenant";
+  EXPECT_EQ(workloads::histogram_geometry(c, 4).get(), base.get());
+}
+
+TEST(HistGeometryMemo, ConcurrentRunsMatchTheSerialBins) {
+  // More configs than the memo holds, so the threads share, evict and
+  // rebuild tables while other runs still hold them.
+  constexpr int kConfigs = static_cast<int>(sim::kReferenceMemoCapacity) + 4;
+  struct Case {
+    HistogramConfig cfg;
+    int ranks = 0;
+    Plan plan;
+  };
+  const std::vector<Plan> plans = hist_plans();
+  std::vector<Case> cases;
+  for (int i = 0; i < kConfigs; ++i) {
+    Case c;
+    c.cfg = small_hist();
+    c.cfg.keys_per_round = 64;
+    c.cfg.rounds = 2;
+    c.cfg.skew = i % 3;
+    c.cfg.seed = 3000 + static_cast<std::uint64_t>(i);
+    c.ranks = 1 + i % 4;
+    c.plan = plans[static_cast<std::size_t>(i) % plans.size()];
+    cases.push_back(c);
+  }
+  auto run = [](const Case& c) {
+    return workloads::run_histogram(MachineSpec::hgx_a100(c.ranks), c.cfg,
+                                    c.plan)
+        .bins;
+  };
+  std::vector<std::vector<double>> serial;
+  for (const Case& c : cases) serial.push_back(run(c));
+
+  constexpr int kThreads = 8;
+  std::vector<std::vector<std::vector<double>>> got(kThreads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      for (int r = 0; r < kConfigs; ++r) {
+        got[static_cast<std::size_t>(t)].push_back(
+            run(cases[static_cast<std::size_t>((t * 5 + r) % kConfigs)]));
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int r = 0; r < kConfigs; ++r) {
+      const auto& bins =
+          got[static_cast<std::size_t>(t)][static_cast<std::size_t>(r)];
+      EXPECT_EQ(bits(bins),
+                bits(serial[static_cast<std::size_t>((t * 5 + r) % kConfigs)]))
+          << "thread " << t << " run " << r;
     }
   }
 }
