@@ -1,6 +1,7 @@
 // Run metrics: the quantities the paper's figures report.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -51,20 +52,35 @@ struct RunMetrics {
   RunMetrics m;
   m.total = total;
   m.per_iteration = iterations > 0 ? total / iterations : total;
-  m.comm = trace.union_length(sim::Cat::kComm);
-  m.compute = trace.union_length(sim::Cat::kCompute);
-  m.sync = trace.union_length(sim::Cat::kSync);
-  m.host_api = trace.union_length(sim::Cat::kHostApi);
-  m.comm_hidden = trace.overlap_length(sim::Cat::kComm, sim::Cat::kCompute);
-  m.overlap_ratio = trace.overlap_ratio(sim::Cat::kComm, sim::Cat::kCompute);
+  // One sweep over the trace: the four per-category unions plus the two
+  // merged sets that give the overlap (inclusion-exclusion) and the
+  // non-compute union.
+  using sim::Cat;
+  using sim::cat_mask;
+  constexpr std::array<sim::CatMask, 6> kSets{
+      cat_mask(Cat::kComm),
+      cat_mask(Cat::kCompute),
+      cat_mask(Cat::kSync),
+      cat_mask(Cat::kHostApi),
+      cat_mask({Cat::kComm, Cat::kCompute}),
+      cat_mask({Cat::kComm, Cat::kSync, Cat::kHostApi})};
+  std::array<sim::Nanos, 6> len{};
+  trace.union_lengths(kSets, len);
+  m.comm = len[0];
+  m.compute = len[1];
+  m.sync = len[2];
+  m.host_api = len[3];
+  m.comm_hidden = m.comm + m.compute - len[4];
+  m.overlap_ratio = m.comm > 0 ? static_cast<double>(m.comm_hidden) /
+                                     static_cast<double>(m.comm)
+                               : 0.0;
   m.comm_fraction =
       total > 0 ? static_cast<double>(m.comm) / static_cast<double>(total) : 0.0;
   m.noncompute_fraction =
       total > 0
           ? 1.0 - static_cast<double>(m.compute) / static_cast<double>(total)
           : 0.0;
-  const sim::Nanos noncompute = trace.union_length_any(
-      {sim::Cat::kComm, sim::Cat::kSync, sim::Cat::kHostApi});
+  const sim::Nanos noncompute = len[5];
   if (noncompute > 0 && total > 0) {
     // Covered = compute + noncompute - total (both unions tile the run up to
     // idle gaps), clamped to [0, noncompute].

@@ -5,6 +5,7 @@
 
 #include "sim/observe.hpp"
 #include "sim/pdes.hpp"
+#include "sim/sync.hpp"
 
 namespace sim {
 
@@ -265,19 +266,12 @@ std::string Engine::flag_name(const void* flag) const {
 }
 
 std::string Engine::describe_wait_site(const WaitSite& site) const {
-  std::string out = "\n  " + site.who;
-  if (job_map_ != nullptr && site.actor_device >= 0) {
-    const std::string job =
-        job_map_->find_lane(site.actor_device, site.actor_lane);
-    if (!job.empty()) out += " [" + job + "]";
-  }
-  out += " blocked on " + site.what + ": " + flag_name(site.flag);
-  if (!site.predicate.empty()) out += " " + site.predicate;
-  if (site.read_value) {
-    out += "; value " + std::to_string(site.read_value());
-  } else {
-    out += "; never completed (lost/never-sent signal?)";
-  }
+  std::string out = "\n  ";
+  out += site.who.str();
+  if (job_map_ != nullptr) out += job_map_->suffix(site.who);
+  out += " blocked on " + site.what + ": " + flag_name(site.flag) + " " +
+         cmp_str(site.cmp) + " " + std::to_string(site.rhs) + "; value " +
+         std::to_string(site.flag->value());
   return out;
 }
 

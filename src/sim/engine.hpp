@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/actor.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 #include "sim/trace.hpp"
@@ -37,6 +38,7 @@ namespace sim {
 class Observer;
 class JobMap;
 class Engine;
+class Flag;
 
 namespace pdes {
 class Core;
@@ -349,19 +351,16 @@ class Engine {
   // per wait. Cancelled timers are drained from the queues before the report
   // is composed, so a dead callback is never counted as pending work.
 
-  /// One open blocking wait. `predicate` is the pre-rendered comparison
-  /// (e.g. ">= 12"); `read_value` reads the awaited flag's current value at
-  /// report time (may be empty).
+  /// One open blocking wait: `who` waits at site `what` until
+  /// `flag <cmp> rhs` holds. Stored as typed fields; describe_wait_site
+  /// renders the actor, the predicate and the flag's current value only
+  /// when a hang report is built. `flag` must outlive the registration.
   struct WaitSite {
-    std::string who;   ///< waiting actor, e.g. "pe1/k0.g2"
+    Actor who;         ///< waiting actor, e.g. pe1/k0.g2
     std::string what;  ///< wait-site name, e.g. "signal_wait"
-    const void* flag = nullptr;
-    std::string predicate;
-    std::function<std::int64_t()> read_value;
-    /// Waiting actor's (device, stream lane) for job attribution; -1/-1 when
-    /// the waiter is not a stream/kernel actor (host threads, wires).
-    std::int32_t actor_device = -1;
-    std::int32_t actor_lane = -1;
+    const Flag* flag = nullptr;
+    Cmp cmp = Cmp::kGe;
+    std::int64_t rhs = 0;
   };
   using WaitToken = std::uint64_t;
 

@@ -14,38 +14,11 @@
 #include <optional>
 #include <vector>
 
+#include "sim/actor.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 
 namespace sim {
-
-/// Comparison operators mirroring NVSHMEM_CMP_*.
-enum class Cmp : std::uint8_t { kEq, kNe, kGt, kGe, kLt, kLe };
-
-[[nodiscard]] constexpr bool compare(Cmp cmp, std::int64_t lhs, std::int64_t rhs) {
-  switch (cmp) {
-    case Cmp::kEq: return lhs == rhs;
-    case Cmp::kNe: return lhs != rhs;
-    case Cmp::kGt: return lhs > rhs;
-    case Cmp::kGe: return lhs >= rhs;
-    case Cmp::kLt: return lhs < rhs;
-    case Cmp::kLe: return lhs <= rhs;
-  }
-  return false;
-}
-
-/// Operator token for reports ("==", ">=", ...).
-[[nodiscard]] constexpr const char* cmp_str(Cmp cmp) {
-  switch (cmp) {
-    case Cmp::kEq: return "==";
-    case Cmp::kNe: return "!=";
-    case Cmp::kGt: return ">";
-    case Cmp::kGe: return ">=";
-    case Cmp::kLt: return "<";
-    case Cmp::kLe: return "<=";
-  }
-  return "?";
-}
 
 class Flag {
  public:

@@ -1,6 +1,9 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -49,82 +52,123 @@ void Trace::append(std::vector<Interval> more) {
   std::move(more.begin(), more.end(), std::back_inserter(intervals_));
 }
 
-std::vector<std::pair<Nanos, Nanos>> Trace::merged(Cat cat,
-                                                   std::int32_t device) const {
-  std::vector<std::pair<Nanos, Nanos>> spans;
-  for (const Interval& iv : intervals_) {
-    if (iv.cat != cat) continue;
-    if (device != -2 && iv.device != device) continue;
-    spans.emplace_back(iv.begin, iv.end);
-  }
-  std::sort(spans.begin(), spans.end());
-  std::vector<std::pair<Nanos, Nanos>> out;
-  for (const auto& s : spans) {
-    if (!out.empty() && s.first <= out.back().second) {
-      out.back().second = std::max(out.back().second, s.second);
-    } else {
-      out.push_back(s);
+namespace {
+
+/// Union length of spans fed in non-decreasing `end` order. The merged
+/// segments form a stack ordered by end with gaps between them, so a new
+/// span [begin, end) can only reach the segments on top: it stretches the
+/// top segment to `end` and folds in every segment whose end reaches
+/// `begin`.
+class EndOrderedUnion {
+ public:
+  void add(Nanos begin, Nanos end) {
+    if (segs_.empty() || segs_.back().second < begin) {
+      segs_.emplace_back(begin, end);
+      length_ += end - begin;
+      return;
+    }
+    length_ += end - segs_.back().second;
+    segs_.back().second = end;
+    while (begin < segs_.back().first) {
+      const std::size_t n = segs_.size();
+      if (n >= 2 && segs_[n - 2].second >= begin) {
+        // The span bridges the gap below the top segment: merge the two.
+        length_ += segs_[n - 1].first - segs_[n - 2].second;
+        segs_[n - 2].second = end;
+        segs_.pop_back();
+      } else {
+        length_ += segs_.back().first - begin;
+        segs_.back().first = begin;
+      }
     }
   }
-  return out;
+  [[nodiscard]] Nanos length() const noexcept { return length_; }
+
+ private:
+  std::vector<std::pair<Nanos, Nanos>> segs_;
+  Nanos length_ = 0;
+};
+
+struct CatSpan {
+  Nanos begin;
+  Nanos end;
+  Cat cat;
+};
+
+}  // namespace
+
+void Trace::union_lengths(std::span<const CatMask> sets,
+                          std::span<Nanos> lengths, std::int32_t device) const {
+  if (sets.size() > kMaxUnionSets || lengths.size() != sets.size()) {
+    throw std::invalid_argument(
+        "Trace::union_lengths: one length per set, at most kMaxUnionSets");
+  }
+  // For each category, the sets it belongs to.
+  constexpr std::size_t kCats = 8 * sizeof(CatMask);
+  std::array<std::array<std::uint8_t, kMaxUnionSets>, kCats> members{};
+  std::array<std::uint8_t, kCats> n_members{};
+  for (std::size_t k = 0; k < sets.size(); ++k) {
+    for (std::size_t c = 0; c < kCats; ++c) {
+      if (((sets[k] >> c) & 1u) != 0) {
+        members[c][n_members[c]++] = static_cast<std::uint8_t>(k);
+      }
+    }
+  }
+  std::array<EndOrderedUnion, kMaxUnionSets> unions;
+  const auto feed = [&](Nanos begin, Nanos end, Cat cat) {
+    const auto c = static_cast<std::size_t>(cat);
+    for (std::uint8_t i = 0; i < n_members[c]; ++i) {
+      unions[members[c][i]].add(begin, end);
+    }
+  };
+  // The serial engine records every interval at its end instant, so the
+  // trace is usually end-ordered already: sweep it in place, checking the
+  // order on the way. Merged shard traces and hand-built traces fail the
+  // check and are swept again from a compact copy sorted by end.
+  bool ordered = true;
+  Nanos last_end = std::numeric_limits<Nanos>::min();
+  for (const Interval& iv : intervals_) {
+    if (iv.end < last_end) {
+      ordered = false;
+      break;
+    }
+    last_end = iv.end;
+    if (device == -2 || iv.device == device) feed(iv.begin, iv.end, iv.cat);
+  }
+  if (!ordered) {
+    unions = {};
+    std::vector<CatSpan> spans;
+    for (const Interval& iv : intervals_) {
+      if (n_members[static_cast<std::size_t>(iv.cat)] != 0 &&
+          (device == -2 || iv.device == device)) {
+        spans.push_back({iv.begin, iv.end, iv.cat});
+      }
+    }
+    std::sort(spans.begin(), spans.end(),
+              [](const CatSpan& x, const CatSpan& y) { return x.end < y.end; });
+    for (const CatSpan& sp : spans) feed(sp.begin, sp.end, sp.cat);
+  }
+  for (std::size_t k = 0; k < sets.size(); ++k) lengths[k] = unions[k].length();
 }
 
 Nanos Trace::union_length(Cat cat, std::int32_t device) const {
-  Nanos total = 0;
-  for (const auto& [b, e] : merged(cat, device)) total += e - b;
-  return total;
-}
-
-std::vector<std::pair<Nanos, Nanos>> Trace::merged_any(
-    std::initializer_list<Cat> cats, std::int32_t device) const {
-  std::vector<std::pair<Nanos, Nanos>> spans;
-  for (const Interval& iv : intervals_) {
-    bool match = false;
-    for (Cat c : cats) {
-      if (iv.cat == c) {
-        match = true;
-        break;
-      }
-    }
-    if (!match) continue;
-    if (device != -2 && iv.device != device) continue;
-    spans.emplace_back(iv.begin, iv.end);
-  }
-  std::sort(spans.begin(), spans.end());
-  std::vector<std::pair<Nanos, Nanos>> out;
-  for (const auto& sp : spans) {
-    if (!out.empty() && sp.first <= out.back().second) {
-      out.back().second = std::max(out.back().second, sp.second);
-    } else {
-      out.push_back(sp);
-    }
-  }
-  return out;
+  return union_length_any({cat}, device);
 }
 
 Nanos Trace::union_length_any(std::initializer_list<Cat> cats,
                               std::int32_t device) const {
+  const CatMask set = cat_mask(cats);
   Nanos total = 0;
-  for (const auto& [b, e] : merged_any(cats, device)) total += e - b;
+  union_lengths({&set, 1}, {&total, 1}, device);
   return total;
 }
 
 Nanos Trace::overlap_length(Cat a, Cat b, std::int32_t device) const {
-  const auto ua = merged(a, device);
-  const auto ub = merged(b, device);
-  Nanos total = 0;
-  std::size_t i = 0, j = 0;
-  while (i < ua.size() && j < ub.size()) {
-    const Nanos lo = std::max(ua[i].first, ub[j].first);
-    const Nanos hi = std::min(ua[i].second, ub[j].second);
-    if (lo < hi) total += hi - lo;
-    if (ua[i].second < ub[j].second) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return total;
+  const std::array<CatMask, 3> sets{cat_mask(a), cat_mask(b),
+                                    cat_mask({a, b})};
+  std::array<Nanos, 3> len{};
+  union_lengths(sets, len, device);
+  return len[0] + len[1] - len[2];
 }
 
 double Trace::overlap_ratio(Cat a, Cat b, std::int32_t device) const {
@@ -169,10 +213,12 @@ std::string Trace::summary(Nanos total) const {
   };
   char buf[160];
   for (std::int32_t d : devices) {
-    const Nanos comp = union_length(Cat::kCompute, d);
-    const Nanos comm = union_length(Cat::kComm, d);
-    const Nanos sync = union_length(Cat::kSync, d);
-    const Nanos host = union_length(Cat::kHostApi, d);
+    constexpr std::array<CatMask, 4> kSets{
+        cat_mask(Cat::kCompute), cat_mask(Cat::kComm), cat_mask(Cat::kSync),
+        cat_mask(Cat::kHostApi)};
+    std::array<Nanos, 4> len{};
+    union_lengths(kSets, len, d);
+    const auto [comp, comm, sync, host] = len;
     if (d < 0) {
       std::snprintf(buf, sizeof(buf),
                     "  host : api %9.2f us (%5.1f%%)  sync %9.2f us (%5.1f%%)\n",

@@ -8,8 +8,10 @@
 // of communication hidden under compute.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +39,19 @@ struct Interval {
   Nanos end = 0;
   std::string name;
 };
+
+/// A set of categories for Trace::union_lengths: bit `i` selects Cat(i).
+using CatMask = std::uint8_t;
+
+[[nodiscard]] constexpr CatMask cat_mask(Cat c) noexcept {
+  return static_cast<CatMask>(1u << static_cast<unsigned>(c));
+}
+
+[[nodiscard]] constexpr CatMask cat_mask(std::initializer_list<Cat> cats) noexcept {
+  CatMask m = 0;
+  for (Cat c : cats) m = static_cast<CatMask>(m | cat_mask(c));
+  return m;
+}
 
 /// THREAD CONFINEMENT: a Trace (like the Engine that owns it) is
 /// single-threaded state. It must be recorded into from exactly one thread;
@@ -78,9 +93,16 @@ class Trace {
     return intervals_;
   }
 
-  /// Total length of the union of all intervals with category `cat`
-  /// (optionally restricted to one device). Overlapping intervals are merged,
-  /// so concurrent communication on two lanes is not double-counted.
+  /// Union lengths of several category sets in one pass over the trace:
+  /// `lengths[k]` is the total length of the union of every interval whose
+  /// category is in `sets[k]` (optionally restricted to one device; -2 means
+  /// all). Overlapping intervals are merged, so concurrent communication on
+  /// two lanes is not double-counted. At most kMaxUnionSets sets.
+  static constexpr std::size_t kMaxUnionSets = 8;
+  void union_lengths(std::span<const CatMask> sets, std::span<Nanos> lengths,
+                     std::int32_t device = -2) const;
+
+  /// Total length of the union of all intervals with category `cat`.
   [[nodiscard]] Nanos union_length(Cat cat, std::int32_t device = -2) const;
 
   /// Union length across several categories merged together (e.g. all
@@ -90,7 +112,8 @@ class Trace {
 
   /// Length of the intersection of the unions of categories `a` and `b`
   /// (optionally restricted to one device): e.g. how much communication time
-  /// was covered by concurrently running computation.
+  /// was covered by concurrently running computation. Computed as
+  /// |a| + |b| - |a ∪ b|.
   [[nodiscard]] Nanos overlap_length(Cat a, Cat b, std::int32_t device = -2) const;
 
   /// overlap_length(a, b) / union_length(a) in [0, 1]; returns 0 when no
@@ -107,12 +130,6 @@ class Trace {
   [[nodiscard]] std::string summary(Nanos total) const;
 
  private:
-  /// Merged, sorted union of intervals matching (cat, device).
-  [[nodiscard]] std::vector<std::pair<Nanos, Nanos>> merged(
-      Cat cat, std::int32_t device) const;
-  [[nodiscard]] std::vector<std::pair<Nanos, Nanos>> merged_any(
-      std::initializer_list<Cat> cats, std::int32_t device) const;
-
   std::vector<Interval> intervals_;
   /// Thread that first recorded; default-constructed id == unowned.
   std::thread::id owner_;

@@ -78,25 +78,6 @@ sim::Task KernelCtx::peer_put(int dst_device, double bytes, std::string_view nam
                               std::move(deliver), sim::Cat::kComm, obs);
 }
 
-namespace {
-
-sim::Engine::WaitSite wait_site(const sim::Actor& who, std::string_view what,
-                                sim::Flag& flag, sim::Cmp cmp,
-                                std::int64_t rhs) {
-  sim::Engine::WaitSite ws{
-      who.str(), std::string(what), &flag,
-      std::string(sim::cmp_str(cmp)) + " " + std::to_string(rhs),
-      [f = &flag] { return f->value(); }};
-  if (who.kind == sim::Actor::Kind::kStream ||
-      who.kind == sim::Actor::Kind::kKernelGroup) {
-    ws.actor_device = who.a;
-    ws.actor_lane = who.b;
-  }
-  return ws;
-}
-
-}  // namespace
-
 sim::Task KernelCtx::spin_wait(sim::Flag& flag, sim::Cmp cmp, std::int64_t rhs,
                                std::string_view name) {
   const sim::Nanos t0 = now();
@@ -104,8 +85,8 @@ sim::Task KernelCtx::spin_wait(sim::Flag& flag, sim::Cmp cmp, std::int64_t rhs,
   if (obs != nullptr) {
     obs->on_signal_wait_begin(obs_actor(), &flag, cmp, rhs, name);
   }
-  const sim::Engine::WaitToken wt =
-      engine().note_wait_begin(wait_site(obs_actor(), name, flag, cmp, rhs));
+  const sim::Engine::WaitToken wt = engine().note_wait_begin(
+      {obs_actor(), std::string(name), &flag, cmp, rhs});
   co_await flag.wait(cmp, rhs);
   engine().note_wait_end(wt);
   if (obs != nullptr) obs->on_signal_wait_end(obs_actor(), &flag);
@@ -122,8 +103,8 @@ sim::Task KernelCtx::spin_wait_for(sim::Flag& flag, sim::Cmp cmp,
   if (obs != nullptr) {
     obs->on_signal_wait_begin(obs_actor(), &flag, cmp, rhs, name);
   }
-  const sim::Engine::WaitToken wt =
-      engine().note_wait_begin(wait_site(obs_actor(), name, flag, cmp, rhs));
+  const sim::Engine::WaitToken wt = engine().note_wait_begin(
+      {obs_actor(), std::string(name), &flag, cmp, rhs});
   const bool ok = co_await flag.wait_for(cmp, rhs, timeout);
   engine().note_wait_end(wt);
   *satisfied = ok;
@@ -166,9 +147,7 @@ sim::Task run_kernel(Machine& machine, Device& device, int lane,
     // Fail-stop: a launch onto a declared-dead device retires immediately
     // (the driver rejects it; the stream stays usable for bookkeeping).
     // Not an exception — one dead tenant must not unwind the whole fleet.
-    machine.trace().record(sim::Cat::kKernel, device.id(), lane,
-                           machine.engine().now(), machine.engine().now(),
-                           std::string(config.name) + " [rejected: dead]");
+    // No trace mark: instant fault events are ROADMAP item 5.
     co_return;
   }
   if (config.cooperative) {

@@ -28,6 +28,7 @@
 #include "cpufree/halo.hpp"
 #include "cpufree/metrics.hpp"
 #include "fault/schedule.hpp"
+#include "sim/observe.hpp"
 #include "stencil/problems.hpp"
 #include "stencil/runner.hpp"
 #include "sweep/executor.hpp"
@@ -50,8 +51,8 @@ using vgpu::MachineSpec;
 using vshmem::Sym;
 using vshmem::World;
 
-/// Runs one single-block kernel body per (device, fn) pair concurrently.
-void run_on_devices(
+/// Spawns one single-block kernel body per (device, fn) pair on lane 0.
+void spawn_kernels(
     Machine& m,
     std::vector<std::pair<int, std::function<Task(KernelCtx&)>>> bodies) {
   for (auto& [dev, fn] : bodies) {
@@ -60,6 +61,13 @@ void run_on_devices(
     m.engine().spawn(vgpu::run_kernel(m, m.device(dev), 0, LaunchConfig{},
                                       std::move(groups)));
   }
+}
+
+/// Runs one single-block kernel body per (device, fn) pair concurrently.
+void run_on_devices(
+    Machine& m,
+    std::vector<std::pair<int, std::function<Task(KernelCtx&)>>> bodies) {
+  spawn_kernels(m, std::move(bodies));
   m.engine().run();
 }
 
@@ -360,6 +368,106 @@ TEST(HangReport, NamesStuckActorAndWaitSite) {
     EXPECT_NE(what.find("lost0@pe1"), std::string::npos) << what;
     EXPECT_NE(what.find(">= 1"), std::string::npos) << what;
   }
+}
+
+// --- pinned hang-report text ----------------------------------------------------
+//
+// The registry stores typed wait sites and renders them only when a report is
+// built; these strings pin that rendering byte for byte. A quiet and a
+// watchdog-guarded wait can never be open when the queue drains (the nbi wire
+// always completes and the watchdog timer keeps the queue busy), so those two
+// are pinned through describe_open_waits() sampled while the wait is open:
+// the same text a DeadlockError appends after its header.
+
+/// The expected hang-report texts, byte for byte.
+constexpr const char* kPinnedSignalWait =
+    "simulation deadlock: 4 task(s) blocked with an empty event queue"
+    "\n  pe0/k0.g0 blocked on signal_wait: lost0@pe0 >= 2; value 1"
+    "\n  pe1/k0.g0 blocked on signal_wait: lost1@pe1 == -5; value 0";
+constexpr const char* kPinnedQuiet =
+    "\n  pe0/k0.g0 blocked on quiet: nbi_completed@pe0 >= 1; value 0";
+constexpr const char* kPinnedSpinWaitFor =
+    "\n  pe1/k0.g0 blocked on watchdog_wait: probe0@pe1 > 7; value 3";
+constexpr const char* kPinnedJobWaiter =
+    "simulation deadlock: 2 task(s) blocked with an empty event queue"
+    "\n  pe1/k0.g0 [j3:t1:cg] blocked on signal_wait: lost0@pe1 >= 1; value 0"
+    "\n  incident: hard-fault: device 0 declared dead";
+
+/// Runs `m` to its end and returns the DeadlockError text.
+std::string deadlock_text(Machine& m) {
+  try {
+    m.engine().run();
+  } catch (const sim::DeadlockError& e) {
+    return e.what();
+  }
+  return "<no deadlock>";
+}
+
+TEST(HangReport, PinsSignalWaitText) {
+  Machine m(test_machines::device_protocol(2));
+  World w(m);
+  auto sig = w.alloc_signals(2, "lost");
+  sig->at(0, 0).set(1);
+  spawn_kernels(m, {{0, [&](KernelCtx& k) -> Task {
+                       co_await w.signal_wait_until(k, *sig, 0, sim::Cmp::kGe,
+                                                    2);
+                     }},
+                    {1, [&](KernelCtx& k) -> Task {
+                       co_await w.signal_wait_until(k, *sig, 1, sim::Cmp::kEq,
+                                                    -5);
+                     }}});
+  EXPECT_EQ(deadlock_text(m), kPinnedSignalWait);
+}
+
+TEST(HangReport, PinsQuietOnUndeliveredNbiPutText) {
+  Machine m(test_machines::device_protocol(2));
+  World w(m);
+  Sym<double> arr = w.alloc<double>(64, "halo");
+  std::string open;
+  spawn_kernels(m, {{0, [&](KernelCtx& k) -> Task {
+                       co_await w.putmem_nbi(k, arr, 0, 0, 64, 1);
+                       // Sampled 1 ns into the quiet: the put is still on
+                       // the wire.
+                       (void)m.engine().schedule_callback(
+                           [&] { open = m.engine().describe_open_waits(); }, 1);
+                       co_await w.quiet(k);
+                     }}});
+  m.engine().run();
+  EXPECT_EQ(open, kPinnedQuiet);
+}
+
+TEST(HangReport, PinsOpenSpinWaitForText) {
+  Machine m(test_machines::device_protocol(2));
+  World w(m);
+  auto sig = w.alloc_signals(1, "probe");
+  sig->at(1, 0).set(3);
+  std::string open;
+  bool ok = true;
+  spawn_kernels(m, {{1, [&](KernelCtx& k) -> Task {
+                       (void)m.engine().schedule_callback(
+                           [&] { open = m.engine().describe_open_waits(); },
+                           500);
+                       co_await k.spin_wait_for(sig->at(1, 0), sim::Cmp::kGt,
+                                                7, 1000, "watchdog_wait", &ok);
+                     }}});
+  m.engine().run();
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(open, kPinnedSpinWaitFor);
+}
+
+TEST(HangReport, PinsJobAttributedWaiterText) {
+  Machine m(test_machines::device_protocol(2));
+  World w(m);
+  auto sig = w.alloc_signals(1, "lost");
+  sim::JobMap jobs;
+  jobs.bind(1, 0, "j3:t1:cg");
+  m.engine().set_job_map(&jobs);
+  m.engine().note_incident("hard-fault: device 0 declared dead");
+  spawn_kernels(m, {{1, [&](KernelCtx& k) -> Task {
+                       co_await w.signal_wait_until(k, *sig, 0, sim::Cmp::kGe,
+                                                    1);
+                     }}});
+  EXPECT_EQ(deadlock_text(m), kPinnedJobWaiter);
 }
 
 }  // namespace

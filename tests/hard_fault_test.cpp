@@ -124,6 +124,43 @@ TEST(HardSchedule, SameConfigReplaysBitIdentically) {
   EXPECT_EQ(a.dead_devices(), b.dead_devices());
 }
 
+TEST(HardSchedule, LaunchOntoDeadDeviceRetiresWithoutATraceMark) {
+  MachineSpec spec = MachineSpec::hgx_a100(2);
+  spec.faults = kill_device(1, 1);
+  vgpu::Machine m(spec);
+  auto launch = [&m](int device, bool* ran) {
+    std::vector<vgpu::BlockGroup> g;
+    g.push_back(vgpu::BlockGroup{
+        "g", 1, [ran](vgpu::KernelCtx& k) -> sim::Task {
+          *ran = true;
+          co_await k.busy(1000, sim::Cat::kCompute, "stencil");
+        }});
+    vgpu::LaunchConfig cfg;
+    cfg.name = "victim";
+    m.engine().spawn(vgpu::run_kernel(m, m.device(device), 0, cfg,
+                                      std::move(g)));
+  };
+  bool live_ran = false;
+  launch(0, &live_ran);
+  m.engine().run();
+  ASSERT_TRUE(live_ran);
+  const sim::Nanos end = m.engine().now();
+  const std::size_t intervals = m.trace().intervals().size();
+  const std::string before =
+      cpufree::to_json(cpufree::analyze_run(m.trace(), end, 1));
+
+  ASSERT_TRUE(m.faults().note_device_iteration(1, 1, end));
+  ASSERT_TRUE(m.faults().device_dead(1));
+  bool dead_ran = false;
+  launch(1, &dead_ran);
+  EXPECT_NO_THROW(m.engine().run());
+  EXPECT_FALSE(dead_ran);
+  EXPECT_EQ(m.engine().live_tasks(), 0u);
+  EXPECT_EQ(m.engine().now(), end);
+  EXPECT_EQ(m.trace().intervals().size(), intervals);
+  EXPECT_EQ(cpufree::to_json(cpufree::analyze_run(m.trace(), end, 1)), before);
+}
+
 // --- checkpoint byte-stability -------------------------------------------------
 
 /// Runs one checkpointing CPU-Free stencil on a 2-device slice and returns

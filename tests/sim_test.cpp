@@ -2,11 +2,16 @@
 // primitives, trace analysis, and run statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cpufree/metrics.hpp"
 #include "sim/engine.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
@@ -431,6 +436,230 @@ TEST(Trace, OverlapRatioZeroWhenOneCategoryEmpty) {
   sim::Trace tr2;
   tr2.record(Cat::kComm, 0, 0, 0, 100);
   EXPECT_DOUBLE_EQ(tr2.overlap_ratio(Cat::kComm, Cat::kCompute), 0.0);
+}
+
+// --- union-sweep oracle ----------------------------------------------------------
+//
+// Seeded random traces checked against a per-nanosecond coverage bitmap. Each
+// trace is fed in end order (the in-place sweep), in end order with one span
+// moved last (the sweep abandons a long prefix for the sorted copy) and
+// shuffled (the sorted-copy fallback). The generator deliberately produces nested,
+// touching, identical, equal-end and zero-length spans.
+
+constexpr std::array<Cat, 6> kAllCats{Cat::kCompute, Cat::kComm,   Cat::kSync,
+                                      Cat::kHostApi, Cat::kKernel, Cat::kOther};
+
+struct RawSpan {
+  Cat cat;
+  std::int32_t device;
+  Nanos begin;
+  Nanos end;
+};
+
+std::vector<RawSpan> random_spans(std::mt19937_64& rng, int devices,
+                                  Nanos window) {
+  std::uniform_int_distribution<int> count_d(0, 500);
+  std::uniform_int_distribution<int> cat_d(0, 5);
+  std::uniform_int_distribution<int> dev_d(-1, devices - 1);
+  std::uniform_int_distribution<int> shape_d(0, 9);
+  std::uniform_int_distribution<Nanos> begin_d(0, window - 1);
+  std::uniform_int_distribution<Nanos> len_d(0, 120);
+  const int n = count_d(rng);
+  std::vector<RawSpan> out;
+  for (int i = 0; i < n; ++i) {
+    RawSpan s{kAllCats[static_cast<std::size_t>(cat_d(rng))], dev_d(rng), 0, 0};
+    const int shape = out.empty() ? 0 : shape_d(rng);
+    const RawSpan& prev =
+        out.empty() ? s : out[std::uniform_int_distribution<std::size_t>(
+                              0, out.size() - 1)(rng)];
+    switch (shape) {
+      case 1:  // nested inside an earlier span
+        s.begin = prev.begin + (prev.end - prev.begin) / 4;
+        s.end = prev.end - (prev.end - prev.begin) / 4;
+        break;
+      case 2:  // identical to an earlier span
+        s.begin = prev.begin;
+        s.end = prev.end;
+        break;
+      case 3:  // touching an earlier span's end
+        s.begin = prev.end;
+        s.end = s.begin + len_d(rng);
+        break;
+      case 4:  // sharing an earlier span's end
+        s.end = prev.end;
+        s.begin = std::max<Nanos>(0, s.end - len_d(rng));
+        break;
+      case 5:  // zero length: must be dropped
+        s.begin = s.end = begin_d(rng);
+        break;
+      default:
+        s.begin = begin_d(rng);
+        s.end = s.begin + len_d(rng);
+        break;
+    }
+    s.end = std::min(s.end, window);
+    s.begin = std::min(s.begin, s.end);
+    out.push_back(s);
+  }
+  return out;
+}
+
+/// Per-nanosecond category coverage: bits[slot][t] has bit `c` set when an
+/// interval of category c on device slot-1 (slot 0 == host) covers [t, t+1).
+struct Coverage {
+  std::vector<std::vector<sim::CatMask>> bits;
+
+  Coverage(const std::vector<RawSpan>& spans, int devices, Nanos window)
+      : bits(static_cast<std::size_t>(devices + 1),
+             std::vector<sim::CatMask>(static_cast<std::size_t>(window), 0)) {
+    for (const RawSpan& s : spans) {
+      auto& row = bits[static_cast<std::size_t>(s.device + 1)];
+      for (Nanos t = s.begin; t < s.end; ++t) {
+        row[static_cast<std::size_t>(t)] |= sim::cat_mask(s.cat);
+      }
+    }
+  }
+
+  [[nodiscard]] sim::CatMask at(std::size_t t, std::int32_t device) const {
+    if (device != -2) return bits[static_cast<std::size_t>(device + 1)][t];
+    sim::CatMask m = 0;
+    for (const auto& row : bits) m = static_cast<sim::CatMask>(m | row[t]);
+    return m;
+  }
+
+  /// Nanoseconds covered by some category in `a` and some category in `b`.
+  [[nodiscard]] Nanos both(sim::CatMask a, sim::CatMask b,
+                           std::int32_t device) const {
+    Nanos n = 0;
+    for (std::size_t t = 0; t < bits[0].size(); ++t) {
+      const sim::CatMask m = at(t, device);
+      n += (m & a) != 0 && (m & b) != 0 ? 1 : 0;
+    }
+    return n;
+  }
+
+  [[nodiscard]] Nanos any(sim::CatMask a, std::int32_t device) const {
+    return both(a, a, device);
+  }
+};
+
+void check_against_oracle(const sim::Trace& tr, const Coverage& cov,
+                          int devices, Nanos window) {
+  std::vector<std::int32_t> filters{-2};
+  for (std::int32_t d = -1; d < devices; ++d) filters.push_back(d);
+  for (std::int32_t d : filters) {
+    SCOPED_TRACE("device " + std::to_string(d));
+    for (Cat a : kAllCats) {
+      const sim::CatMask ma = sim::cat_mask(a);
+      ASSERT_EQ(tr.union_length(a, d), cov.any(ma, d)) << sim::cat_name(a);
+      for (Cat b : kAllCats) {
+        const sim::CatMask mb = sim::cat_mask(b);
+        const Nanos ov = cov.both(ma, mb, d);
+        ASSERT_EQ(tr.overlap_length(a, b, d), ov)
+            << sim::cat_name(a) << " x " << sim::cat_name(b);
+        const Nanos la = cov.any(ma, d);
+        ASSERT_EQ(tr.overlap_ratio(a, b, d),
+                  la == 0 ? 0.0
+                          : static_cast<double>(ov) / static_cast<double>(la));
+      }
+    }
+    ASSERT_EQ(tr.union_length_any({Cat::kComm, Cat::kSync, Cat::kHostApi}, d),
+              cov.any(sim::cat_mask({Cat::kComm, Cat::kSync, Cat::kHostApi}),
+                      d));
+    ASSERT_EQ(tr.union_length_any({}, d), 0);
+    // Every non-empty category set, eight sets per sweep.
+    for (unsigned first = 1; first < 64; first += 8) {
+      std::array<sim::CatMask, 8> sets{};
+      std::array<Nanos, 8> got{};
+      for (unsigned k = 0; k < 8; ++k) {
+        sets[k] = static_cast<sim::CatMask>((first + k) % 64);
+      }
+      tr.union_lengths(sets, got, d);
+      for (unsigned k = 0; k < 8; ++k) {
+        ASSERT_EQ(got[k], cov.any(sets[k], d)) << "set " << unsigned{sets[k]};
+      }
+    }
+  }
+
+  // analyze_run against a RunMetrics built from the bitmaps.
+  const std::int64_t iterations = 7;
+  const cpufree::RunMetrics m = cpufree::analyze_run(tr, window, iterations);
+  cpufree::RunMetrics want;
+  want.total = window;
+  want.per_iteration = window / iterations;
+  want.comm = cov.any(sim::cat_mask(Cat::kComm), -2);
+  want.compute = cov.any(sim::cat_mask(Cat::kCompute), -2);
+  want.sync = cov.any(sim::cat_mask(Cat::kSync), -2);
+  want.host_api = cov.any(sim::cat_mask(Cat::kHostApi), -2);
+  want.comm_hidden = cov.both(sim::cat_mask(Cat::kComm),
+                              sim::cat_mask(Cat::kCompute), -2);
+  want.overlap_ratio = want.comm == 0 ? 0.0
+                                      : static_cast<double>(want.comm_hidden) /
+                                            static_cast<double>(want.comm);
+  const double total = static_cast<double>(window);
+  want.comm_fraction = static_cast<double>(want.comm) / total;
+  want.noncompute_fraction = 1.0 - static_cast<double>(want.compute) / total;
+  const Nanos noncompute = cov.any(
+      sim::cat_mask({Cat::kComm, Cat::kSync, Cat::kHostApi}), -2);
+  if (noncompute > 0) {
+    const Nanos covered = std::clamp<Nanos>(
+        want.compute + noncompute - window, 0, noncompute);
+    want.hidden_comm_ratio =
+        static_cast<double>(covered) / static_cast<double>(noncompute);
+  }
+  EXPECT_EQ(cpufree::to_json(m), cpufree::to_json(want));
+}
+
+TEST(TraceUnionSweep, MatchesCoverageBitmapInEveryFeedOrder) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const int devices = 1 + static_cast<int>(seed % 4);
+    const Nanos window = std::uniform_int_distribution<Nanos>(50, 2000)(rng);
+    std::vector<RawSpan> spans = random_spans(rng, devices, window);
+    const Coverage cov(spans, devices, window);
+    const auto kept = static_cast<std::size_t>(std::count_if(
+        spans.begin(), spans.end(),
+        [](const RawSpan& s) { return s.end > s.begin; }));
+
+    std::stable_sort(spans.begin(), spans.end(),
+                     [](const RawSpan& x, const RawSpan& y) {
+                       return x.end < y.end;
+                     });
+    sim::Trace in_order;
+    for (const RawSpan& s : spans) {
+      in_order.record(s.cat, s.device, 0, s.begin, s.end);
+    }
+    ASSERT_EQ(in_order.intervals().size(), kept);
+    check_against_oracle(in_order, cov, devices, window);
+
+    // In end order but for the first span moved last: the in-place sweep
+    // gets almost to the end before it meets the out-of-order span.
+    if (!spans.empty()) std::rotate(spans.begin(), spans.begin() + 1, spans.end());
+    sim::Trace late_break;
+    for (const RawSpan& s : spans) {
+      late_break.record(s.cat, s.device, 0, s.begin, s.end);
+    }
+    check_against_oracle(late_break, cov, devices, window);
+
+    std::shuffle(spans.begin(), spans.end(), rng);
+    sim::Trace shuffled;
+    for (const RawSpan& s : spans) {
+      shuffled.record(s.cat, s.device, 0, s.begin, s.end);
+    }
+    ASSERT_EQ(shuffled.intervals().size(), kept);
+    check_against_oracle(shuffled, cov, devices, window);
+  }
+}
+
+TEST(TraceUnionSweep, RejectsMismatchedOrOversizedSetLists) {
+  sim::Trace tr;
+  const std::array<sim::CatMask, 2> two{1, 2};
+  std::array<Nanos, 1> one{};
+  EXPECT_THROW(tr.union_lengths(two, one), std::invalid_argument);
+  const std::array<sim::CatMask, 9> nine{};
+  std::array<Nanos, 9> nine_out{};
+  EXPECT_THROW(tr.union_lengths(nine, nine_out), std::invalid_argument);
 }
 
 TEST(Trace, RecordFromSecondThreadThrows) {
