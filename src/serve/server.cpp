@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <cmath>
+#include <compare>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -16,6 +17,21 @@
 namespace serve {
 
 namespace {
+
+/// Every field an isolated baseline run reads, compared exactly.
+struct IsolatedKey {
+  JobKind kind;
+  std::size_t nx;
+  std::size_t ny;
+  int iterations;
+  int skew;
+  double imbalance;
+  int threads_per_block;
+  int checkpoint_every;
+  int blocks_per_device;
+  std::vector<int> devices;
+  auto operator<=>(const IsolatedKey&) const = default;
+};
 
 struct JobState {
   JobSpec spec;
@@ -271,28 +287,20 @@ class Server {
 
   /// Isolated baseline: the identical job alone on an idle, fault-free,
   /// serial copy of the machine model, on the same device tuple (the tuple
-  /// matters on multi-node topologies). Deduplicated by shape + placement.
+  /// matters on multi-node topologies). Deduplicated by every field the run
+  /// reads. Only the simulated time is read, so the run is timing-only
+  /// unless the completed fleet run says its schedule reads computed values.
   sim::Nanos isolated_ns(const JobState& js) {
-    std::string key = name(js.spec.kind);
-    key += '|';
-    key += std::to_string(js.spec.nx);
-    key += 'x';
-    key += std::to_string(js.spec.ny);
-    key += "|i";
-    key += std::to_string(js.spec.iterations);
-    key += "|s";
-    key += std::to_string(js.spec.skew);
-    key += "|w";
-    key += std::to_string(js.spec.imbalance);
-    key += "|t";
-    key += std::to_string(js.spec.threads_per_block);
-    key += "|b";
-    key += std::to_string(js.place.blocks_per_device);
-    key += "|d";
-    for (int d : js.place.devices) {
-      key += std::to_string(d);
-      key += ',';
-    }
+    IsolatedKey key{js.spec.kind,
+                    js.spec.nx,
+                    js.spec.ny,
+                    js.spec.iterations,
+                    js.spec.skew,
+                    js.spec.imbalance,
+                    js.spec.threads_per_block,
+                    js.spec.checkpoint_every,
+                    js.place.blocks_per_device,
+                    js.place.devices};
     auto it = isolated_cache_.find(key);
     if (it != isolated_cache_.end()) return it->second;
 
@@ -305,7 +313,8 @@ class Server {
     iso.faulty = false;
     std::string iso_label = "iso:";
     iso_label += js.label;
-    auto work = make_workload(m, iso, js.place, iso_label, nullptr);
+    auto work = make_workload(m, iso, js.place, iso_label, nullptr, nullptr,
+                              js.work->schedule_reads_values());
     m.engine().spawn(work->task());
     m.engine().run();
     const sim::Nanos t = m.engine().now();
@@ -392,7 +401,7 @@ class Server {
   std::vector<JobState> jobs_;
   std::vector<sim::Nanos> arrivals_;
   std::deque<std::size_t> queue_;
-  std::map<std::string, sim::Nanos> isolated_cache_;
+  std::map<IsolatedKey, sim::Nanos> isolated_cache_;
   /// Aborted attempts' workloads, kept alive until the engine drains.
   std::deque<std::unique_ptr<Workload>> graveyard_;
   std::string hang_report_;

@@ -31,10 +31,14 @@ struct ServeConfig {
   vgpu::MachineSpec machine;
   ArrivalConfig arrival;
   PlacePolicy policy = PlacePolicy::kFirstFit;
-  /// Re-run every distinct job shape alone on an idle, fault-free copy of
-  /// the machine to compute slowdown-vs-isolated and SLO attainment.
-  /// (Baselines are deduplicated by shape + placement, so the extra cost is
-  /// one run per distinct shape, not per job.)
+  /// Re-run every distinct completed job alone on an idle, fault-free copy
+  /// of the machine to compute slowdown-vs-isolated and SLO attainment.
+  /// Baselines are deduplicated by every field the run reads (kind, shape,
+  /// iterations, skew, imbalance, threads per block, checkpoint interval,
+  /// blocks per device and the device tuple), so the extra cost is one run
+  /// per distinct job, not per job. A baseline only reads simulated time,
+  /// so it runs timing-only unless the job's schedule reads computed values
+  /// (Workload::schedule_reads_values).
   bool compute_isolated = true;
   /// Optional race/deadlock observer for the SHARED machine; a
   /// check::Detector is additionally wired to the server's job map so its

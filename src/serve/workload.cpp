@@ -34,11 +34,12 @@ class StencilWorkload final : public Workload {
  public:
   StencilWorkload(vgpu::Machine& machine, const JobSpec& spec,
                   const Placement& place, const std::string& label,
-                  sim::JobMap* job_map, const ResumeState* resume)
+                  sim::JobMap* job_map, const ResumeState* resume,
+                  bool functional)
       : world_(machine, place.devices, label),
         prob_(make_prob(spec)),
         start_iter_(resume ? resume->iteration : 0),
-        S_(world_, prob_, make_cfg(spec, place, start_iter_)),
+        S_(world_, prob_, make_cfg(spec, place, start_iter_, functional)),
         store_(static_cast<int>(place.devices.size())),
         iters_(spec.iterations),
         checkpointing_(spec.checkpoint_every > 0) {
@@ -109,6 +110,8 @@ class StencilWorkload final : public Workload {
 
   bool restartable() const override { return checkpointing_; }
 
+  bool schedule_reads_values() const override { return checkpointing_; }
+
   int resume_iteration() const override {
     return start_iter_ + store_.last_complete();
   }
@@ -139,10 +142,10 @@ class StencilWorkload final : public Workload {
   }
   static stencil::StencilConfig make_cfg(const JobSpec& spec,
                                          const Placement& place,
-                                         int start_iter) {
+                                         int start_iter, bool functional) {
     stencil::StencilConfig cfg;
     cfg.iterations = spec.iterations - start_iter;
-    cfg.functional = true;
+    cfg.functional = functional;
     cfg.trace = false;
     cfg.threads_per_block = spec.threads_per_block;
     cfg.persistent_blocks = place.blocks_per_device;
@@ -168,14 +171,14 @@ class CgWorkload final : public Workload {
  public:
   CgWorkload(vgpu::Machine& machine, const JobSpec& spec,
              const Placement& place, const std::string& label,
-             sim::JobMap* job_map)
+             sim::JobMap* job_map, bool functional)
       : world_(machine, place.devices, label) {
-    world_.set_functional(true);
+    world_.set_functional(functional);
     world_.set_fault_injection(spec.faulty);
     cfg_.nx = spec.nx;
     cfg_.ny = spec.ny;
     cfg_.max_iterations = spec.iterations;
-    cfg_.functional = true;
+    cfg_.functional = functional;
     cfg_.trace = false;
     cfg_.threads_per_block = spec.threads_per_block;
     cfg_.persistent_blocks = place.blocks_per_device;
@@ -191,6 +194,13 @@ class CgWorkload final : public Workload {
     return job_->iterations_run() == ref.iterations_run &&
            job_->final_rr() == ref.final_rr &&
            job_->rr_history() == ref.rr_history;
+  }
+
+  bool schedule_reads_values() const override {
+    // Asked of the serial reference, not of this run: a faulty tenant's
+    // numerics may be off, and a clean rerun converges where it does.
+    return solvers::cg_reference(cfg_, world_.n_pes()).final_rr <
+           cfg_.tolerance;
   }
 
   std::string detail() const override {
@@ -216,16 +226,15 @@ class DaceliteWorkload final : public Workload {
  public:
   DaceliteWorkload(vgpu::Machine& machine, const JobSpec& spec,
                    const Placement& place, const std::string& label,
-                   sim::JobMap* job_map)
+                   sim::JobMap* job_map, bool functional)
       : machine_(&machine),
         prog_(make_prog(spec, static_cast<int>(place.devices.size()))),
         world_(machine, place.devices, label),
         iters_(spec.iterations) {
-    world_.set_functional(true);
     world_.set_fault_injection(spec.faulty);
     data_ = std::make_unique<dacelite::ProgramData>(world_, prog_.sdfg,
-                                                    /*functional=*/true);
-    options_.functional = true;
+                                                    functional);
+    options_.functional = functional;
     options_.trace = false;
     options_.threads_per_block = spec.threads_per_block;
     options_.persistent_blocks = place.blocks_per_device;
@@ -279,15 +288,15 @@ class HistogramWorkload final : public Workload {
  public:
   HistogramWorkload(vgpu::Machine& machine, const JobSpec& spec,
                     const Placement& place, const std::string& label,
-                    sim::JobMap* job_map)
+                    sim::JobMap* job_map, bool functional)
       : world_(machine, place.devices, label) {
-    world_.set_functional(true);
+    world_.set_functional(functional);
     world_.set_fault_injection(spec.faulty);
     cfg_.bins = spec.nx;
     cfg_.keys_per_round = spec.ny;
     cfg_.rounds = spec.iterations;
     cfg_.skew = spec.skew;
-    cfg_.functional = true;
+    cfg_.functional = functional;
     cfg_.trace = false;
     cfg_.threads_per_block = spec.threads_per_block;
     cfg_.persistent_blocks = place.blocks_per_device;
@@ -326,15 +335,15 @@ class SparseCgWorkload final : public Workload {
  public:
   SparseCgWorkload(vgpu::Machine& machine, const JobSpec& spec,
                    const Placement& place, const std::string& label,
-                   sim::JobMap* job_map)
+                   sim::JobMap* job_map, bool functional)
       : world_(machine, place.devices, label) {
-    world_.set_functional(true);
+    world_.set_functional(functional);
     world_.set_fault_injection(spec.faulty);
     cfg_.nx = spec.nx;
     cfg_.ny = spec.ny;
     cfg_.max_iterations = spec.iterations;
     cfg_.imbalance = spec.imbalance;
-    cfg_.functional = true;
+    cfg_.functional = functional;
     cfg_.trace = false;
     cfg_.threads_per_block = spec.threads_per_block;
     cfg_.persistent_blocks = place.blocks_per_device;
@@ -352,6 +361,12 @@ class SparseCgWorkload final : public Workload {
     return job_->iterations_run() == ref.iterations_run &&
            job_->final_rr() == ref.final_rr &&
            job_->rr_history() == ref.rr_history;
+  }
+
+  bool schedule_reads_values() const override {
+    // As CgWorkload: the serial reference decides, not this run.
+    return solvers::sparse_cg_reference(cfg_, world_.n_pes()).final_rr <
+           cfg_.tolerance;
   }
 
   std::string detail() const override {
@@ -414,23 +429,24 @@ std::unique_ptr<Workload> make_workload(vgpu::Machine& machine,
                                         const Placement& place,
                                         const std::string& label,
                                         sim::JobMap* job_map,
-                                        const ResumeState* resume) {
+                                        const ResumeState* resume,
+                                        bool functional) {
   switch (spec.kind) {
     case JobKind::kStencil:
       return std::make_unique<StencilWorkload>(machine, spec, place, label,
-                                               job_map, resume);
+                                               job_map, resume, functional);
     case JobKind::kCg:
       return std::make_unique<CgWorkload>(machine, spec, place, label,
-                                          job_map);
+                                          job_map, functional);
     case JobKind::kDacelite:
       return std::make_unique<DaceliteWorkload>(machine, spec, place, label,
-                                                job_map);
+                                                job_map, functional);
     case JobKind::kHistogram:
       return std::make_unique<HistogramWorkload>(machine, spec, place, label,
-                                                 job_map);
+                                                 job_map, functional);
     case JobKind::kSparseCg:
       return std::make_unique<SparseCgWorkload>(machine, spec, place, label,
-                                                job_map);
+                                                job_map, functional);
   }
   throw std::invalid_argument("make_workload: unknown job kind");
 }

@@ -59,6 +59,13 @@ class Workload {
   [[nodiscard]] virtual std::vector<double> resume_state() const {
     return {};
   }
+
+  /// Does this job's simulated schedule read computed values, so that a
+  /// timing-only rerun would take a different path? True for a solve that
+  /// converges before its iteration cap (the timing-only loop never does)
+  /// and for a checkpointing run (its captures copy the state buffers).
+  /// Only meaningful after task() completed.
+  [[nodiscard]] virtual bool schedule_reads_values() const { return false; }
 };
 
 /// Shape errors that would throw mid-run (stencil needs two slabs per
@@ -71,10 +78,13 @@ class Workload {
 /// in `job_map` (when non-null) for checker/hang attribution. A non-null
 /// `resume` with iteration > 0 restarts a checkpoint-capable workload from
 /// that state, running only the remaining iterations (kinds without restart
-/// support ignore it).
+/// support ignore it). With `functional` false the job runs timing-only: no
+/// numerics and placeholder buffers, so verify() and resume must not be
+/// used. Its simulated time equals the functional run's unless
+/// schedule_reads_values() holds for that run.
 [[nodiscard]] std::unique_ptr<Workload> make_workload(
     vgpu::Machine& machine, const JobSpec& spec, const Placement& place,
     const std::string& label, sim::JobMap* job_map,
-    const ResumeState* resume = nullptr);
+    const ResumeState* resume = nullptr, bool functional = true);
 
 }  // namespace serve

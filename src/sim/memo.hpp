@@ -1,9 +1,10 @@
 // A small, thread-safe, bounded memo for PURE functions.
 //
 // The serial references every bitwise verification compares against
-// (histogram_reference, cg_reference, sparse_cg_reference) are pure
-// functions of a few config fields plus the rank count, and a sweep asks for
-// the same one once per (plan x machine) cell. Memo keeps the last
+// (histogram_reference, cg_reference, sparse_cg_reference and the stencil's
+// serial_reference) are pure functions of a few config fields (plus the rank
+// count, where the reduction order follows the partition), and a sweep or a
+// fleet asks for the same one many times. Memo keeps the last
 // `Capacity` answers so a repeated question is answered from memory, while
 // every run is still compared against the exact reference value.
 //
@@ -15,9 +16,12 @@
 //    outside it, so concurrent misses do not serialize. Two threads missing
 //    on the same key may both compute; purity makes the answers identical
 //    and only the first is stored.
+//  * Observable: stats() counts hits and misses (every compute() call is a
+//    miss), so a caller can report how often a memo saved a computation.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <utility>
@@ -32,12 +36,21 @@ class Memo {
   static_assert(Capacity > 0, "a memo needs room for one entry");
 
  public:
+  struct Stats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+
   /// The memoized value for `key`, running `compute()` on a miss.
   template <class Compute>
   [[nodiscard]] Value get(const Key& key, Compute&& compute) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (const Value* hit = find(key)) return *hit;
+      if (const Value* hit = find(key)) {
+        ++stats_.hits;
+        return *hit;
+      }
+      ++stats_.misses;
     }
     Value value = std::forward<Compute>(compute)();
     std::lock_guard<std::mutex> lock(mu_);
@@ -46,6 +59,11 @@ class Memo {
       entries_.emplace_back(key, value);
     }
     return value;
+  }
+
+  [[nodiscard]] Stats stats() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return stats_;
   }
 
  private:
@@ -58,6 +76,7 @@ class Memo {
 
   std::mutex mu_;
   std::deque<std::pair<Key, Value>> entries_;
+  Stats stats_;
 };
 
 }  // namespace sim

@@ -109,7 +109,7 @@ void Trace::union_lengths(std::span<const CatMask> sets,
   std::array<std::uint8_t, kCats> n_members{};
   for (std::size_t k = 0; k < sets.size(); ++k) {
     for (std::size_t c = 0; c < kCats; ++c) {
-      if (((sets[k] >> c) & 1u) != 0) {
+      if (((static_cast<unsigned>(sets[k]) >> c) & 1u) != 0) {
         members[c][n_members[c]++] = static_cast<std::uint8_t>(k);
       }
     }

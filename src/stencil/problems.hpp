@@ -19,6 +19,8 @@ struct Jacobi2D {
   std::size_t nx = 64;  // row width (points per slab)
   std::size_t ny = 64;  // number of rows (slabs)
 
+  bool operator==(const Jacobi2D&) const = default;
+
   [[nodiscard]] std::size_t slabs() const { return ny; }
   [[nodiscard]] std::size_t plane() const { return nx; }
 
@@ -49,6 +51,8 @@ struct Jacobi3D {
   std::size_t nx = 32;
   std::size_t ny = 32;
   std::size_t nz = 32;
+
+  bool operator==(const Jacobi3D&) const = default;
 
   [[nodiscard]] std::size_t slabs() const { return nz; }
   [[nodiscard]] std::size_t plane() const { return nx * ny; }

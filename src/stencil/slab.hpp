@@ -1,5 +1,6 @@
 // Generic slab-decomposed stencil state: decomposition, symmetric double
-// buffers, halo layout, functional updates, gathering and a serial reference.
+// buffers, halo layout, functional updates, gathering and a memoized serial
+// reference.
 //
 // Layout per PE and parity: (max_rows + 2) slabs of `plane()` points.
 //   slab 0            = top halo (values owned by the top neighbour)
@@ -14,13 +15,57 @@
 #include <functional>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "sim/memo.hpp"
 #include "stencil/config.hpp"
 #include "vgpu/machine.hpp"
 #include "vshmem/world.hpp"
 
 namespace stencil {
+
+/// The same Jacobi update applied `iterations` times to the undecomposed
+/// domain: a pure function of the problem's fields and `iterations`.
+template <class Problem>
+[[nodiscard]] std::vector<double> serial_reference(const Problem& prob,
+                                                   int iterations) {
+  const std::size_t s_count = prob.slabs();
+  const std::size_t p = prob.plane();
+  std::vector<double> g[2];
+  g[0].resize(s_count * p);
+  g[1].resize(s_count * p);
+  for (std::size_t s = 0; s < s_count; ++s) {
+    for (std::size_t i = 0; i < p; ++i) {
+      g[0][s * p + i] = g[1][s * p + i] = prob.initial(s, i);
+    }
+  }
+  for (int t = 1; t <= iterations; ++t) {
+    auto& src = g[(t - 1) & 1];
+    auto& dst = g[t & 1];
+    for (std::size_t s = 1; s + 1 < s_count; ++s) {
+      prob.update_slab(std::span<const double>(src).subspan((s - 1) * p, p),
+                       std::span<const double>(src).subspan(s * p, p),
+                       std::span<const double>(src).subspan((s + 1) * p, p),
+                       std::span<double>(dst).subspan(s * p, p), s);
+    }
+  }
+  return g[iterations & 1];
+}
+
+/// The process-wide memo behind SlabStencil<Problem>::reference, keyed by
+/// (problem, iterations): every field serial_reference reads. The reference
+/// is undecomposed, so neither the rank count nor the StencilConfig is part
+/// of the key. Each entry holds one full domain.
+template <class Problem>
+using ReferenceMemo = sim::Memo<std::pair<Problem, int>, std::vector<double>,
+                                sim::kReferenceMemoCapacity>;
+
+template <class Problem>
+[[nodiscard]] ReferenceMemo<Problem>& reference_memo() {
+  static ReferenceMemo<Problem> memo;
+  return memo;
+}
 
 template <class Problem>
 class SlabStencil {
@@ -196,29 +241,11 @@ class SlabStencil {
   }
 
   /// Serial reference: the same update applied to the undecomposed domain.
+  /// Memoized: see reference_memo().
   [[nodiscard]] std::vector<double> reference(int iterations) const {
-    const std::size_t s_count = prob_.slabs();
-    const std::size_t p = plane();
-    std::vector<double> g[2];
-    g[0].resize(s_count * p);
-    g[1].resize(s_count * p);
-    for (std::size_t s = 0; s < s_count; ++s) {
-      for (std::size_t i = 0; i < p; ++i) {
-        g[0][s * p + i] = g[1][s * p + i] = prob_.initial(s, i);
-      }
-    }
-    for (int t = 1; t <= iterations; ++t) {
-      auto& src = g[(t - 1) & 1];
-      auto& dst = g[t & 1];
-      for (std::size_t s = 1; s + 1 < s_count; ++s) {
-        prob_.update_slab(
-            std::span<const double>(src).subspan((s - 1) * p, p),
-            std::span<const double>(src).subspan(s * p, p),
-            std::span<const double>(src).subspan((s + 1) * p, p),
-            std::span<double>(dst).subspan(s * p, p), s);
-      }
-    }
-    return g[iterations & 1];
+    return reference_memo<Problem>().get({prob_, iterations}, [&] {
+      return serial_reference(prob_, iterations);
+    });
   }
 
  private:

@@ -23,7 +23,19 @@ LinkLedger::LinkLedger(sim::Engine& engine, const Topology& topo,
     : engine_(&engine),
       topo_(&topo),
       faults_(faults),
-      exclusive_busy_until_(topo.links.size(), 0) {}
+      exclusive_busy_until_(topo.links.size(), 0),
+      residual_(topo.links.size(), 0.0),
+      users_(topo.links.size()),
+      pair_fin_(static_cast<std::size_t>((topo.num_devices() + 1) *
+                                         (topo.num_devices() + 1)),
+                0) {}
+
+std::size_t LinkLedger::pair_index(const Route& route) const {
+  // Staging routes carry -1 for their host end.
+  const auto n = static_cast<std::size_t>(topo_->num_devices()) + 1;
+  return static_cast<std::size_t>(route.src + 1) * n +
+         static_cast<std::size_t>(route.dst + 1);
+}
 
 double LinkLedger::faulty_scale(int li, sim::Nanos at) {
   if (faults_ == nullptr || !faults_->enabled()) return 1.0;
@@ -149,81 +161,88 @@ void LinkLedger::fold(sim::Nanos now) {
 
 void LinkLedger::recompute(sim::Nanos now) {
   // Max-min water-filling over flights that still have bytes on the wire.
-  std::vector<Flight*> draining;
+  draining_.clear();
   for (auto& [id, f] : flights_) {
     if (f->remaining > kEpsBytes) {
       f->rate = kUnfrozen;
-      draining.push_back(f.get());
+      draining_.push_back(f.get());
     } else {
       f->rate = 0.0;
     }
   }
   // Contended capacity per link (kShared; kExclusive treated the same on the
-  // rare mixed route) and its draining users. std::map iterates in link-id
-  // order, which fixes every tie-break below.
-  std::map<int, double> residual;
-  std::map<int, std::vector<Flight*>> users;
-  for (Flight* f : draining) {
+  // rare mixed route) and its draining users, in admission order. Touched
+  // links are visited in ascending id, which fixes every tie-break below.
+  // Every (flight, link) consults the fault scale, which publishes a window
+  // once on first sight; the link's first consult sets its capacity.
+  touched_.clear();
+  for (Flight* f : draining_) {
     for (int li : f->route->links) {
-      if (topo_->links[static_cast<std::size_t>(li)].policy ==
-          LinkPolicy::kUnlimited) {
-        continue;
+      const auto l = static_cast<std::size_t>(li);
+      if (topo_->links[l].policy == LinkPolicy::kUnlimited) continue;
+      const double scale = faulty_scale(li, now);
+      if (users_[l].empty()) {
+        residual_[l] = topo_->links[l].bw_gbps * scale;
+        touched_.push_back(li);
       }
-      residual.emplace(li, topo_->links[static_cast<std::size_t>(li)].bw_gbps *
-                               faulty_scale(li, now));
-      users[li].push_back(f);
+      users_[l].push_back(f);
     }
   }
-  std::size_t unfrozen = draining.size();
+  std::sort(touched_.begin(), touched_.end());
+  std::size_t unfrozen = draining_.size();
   while (unfrozen > 0) {
     // The next bottleneck: smallest equal-split share over any contended
     // link, or the smallest per-flight kUnlimited cap, whichever binds first.
     double share = std::numeric_limits<double>::infinity();
-    for (const auto& [li, fl] : users) {
+    for (int li : touched_) {
+      const auto l = static_cast<std::size_t>(li);
       int cnt = 0;
-      for (Flight* f : fl) cnt += f->rate == kUnfrozen ? 1 : 0;
-      if (cnt > 0) share = std::min(share, residual[li] / cnt);
+      for (Flight* f : users_[l]) cnt += f->rate == kUnfrozen ? 1 : 0;
+      if (cnt > 0) share = std::min(share, residual_[l] / cnt);
     }
-    for (Flight* f : draining) {
+    for (Flight* f : draining_) {
       if (f->rate == kUnfrozen && f->cap > 0.0) share = std::min(share, f->cap);
     }
     // Freeze every flight pinned by a constraint at the bottleneck share.
     const double lim = share * (1.0 + 1e-12);
-    std::vector<Flight*> freeze;
-    auto mark = [&freeze](Flight* f) {
+    freeze_.clear();
+    auto mark = [this](Flight* f) {
       if (f->rate == kUnfrozen) {
         f->rate = kPending;
-        freeze.push_back(f);
+        freeze_.push_back(f);
       }
     };
-    for (const auto& [li, fl] : users) {
+    for (int li : touched_) {
+      const auto l = static_cast<std::size_t>(li);
       int cnt = 0;
-      for (Flight* f : fl) {
+      for (Flight* f : users_[l]) {
         cnt += (f->rate == kUnfrozen || f->rate == kPending) ? 1 : 0;
       }
-      if (cnt > 0 && residual[li] / cnt <= lim) {
-        for (Flight* f : fl) mark(f);
+      if (cnt > 0 && residual_[l] / cnt <= lim) {
+        for (Flight* f : users_[l]) mark(f);
       }
     }
-    for (Flight* f : draining) {
+    for (Flight* f : draining_) {
       if (f->rate == kUnfrozen && f->cap > 0.0 && f->cap <= lim) mark(f);
     }
-    if (freeze.empty()) {
+    if (freeze_.empty()) {
       // Numerical backstop; unreachable for exact-arithmetic inputs.
-      for (Flight* f : draining) mark(f);
+      for (Flight* f : draining_) mark(f);
     }
-    for (Flight* f : freeze) {
+    for (Flight* f : freeze_) {
       f->rate = share;
       for (int li : f->route->links) {
-        auto it = residual.find(li);
-        if (it != residual.end()) it->second = std::max(0.0, it->second - share);
+        const auto l = static_cast<std::size_t>(li);
+        if (!users_[l].empty()) {
+          residual_[l] = std::max(0.0, residual_[l] - share);
+        }
       }
       --unfrozen;
     }
   }
+  for (int li : touched_) users_[static_cast<std::size_t>(li)].clear();
   // Finish times, clamped FIFO per ordered (src, dst) pair in admission
   // order: a later transfer of a pair never lands before an earlier one.
-  std::map<std::pair<int, int>, sim::Nanos> pair_fin;
   for (auto& [id, f] : flights_) {
     sim::Nanos fin = now;
     if (f->remaining > kEpsBytes) {
@@ -231,11 +250,12 @@ void LinkLedger::recompute(sim::Nanos now) {
     } else {
       f->remaining = 0.0;
     }
-    sim::Nanos& last = pair_fin[{f->route->src, f->route->dst}];
+    sim::Nanos& last = pair_fin_[pair_index(*f->route)];
     fin = std::max(fin, last);
     last = fin;
     f->finish_at = fin;
   }
+  for (const auto& [id, f] : flights_) pair_fin_[pair_index(*f->route)] = 0;
 }
 
 void LinkLedger::reschedule(sim::Nanos now) {

@@ -98,8 +98,11 @@ class LinkLedger {
   void fold(sim::Nanos now);
   /// Max-min water-filling over all draining flights, then per-flight finish
   /// times with the per-pair FIFO clamp. Deterministic: links are visited in
-  /// index order, flights in admission order.
+  /// index order, flights in admission order. Allocation-free once the
+  /// scratch below has grown to the largest flight set seen.
   void recompute(sim::Nanos now);
+  /// Slot of the route's ordered (src, dst) pair in `pair_fin_`.
+  [[nodiscard]] std::size_t pair_index(const Route& route) const;
   /// Re-arms the completion timer at the earliest flight finish.
   void reschedule(sim::Nanos now);
   void on_wake();
@@ -119,6 +122,15 @@ class LinkLedger {
   sim::Nanos last_fold_ = 0;  // time flights' `remaining` was last advanced to
   sim::TimerToken wake_;
   sim::Nanos wake_at_ = -1;
+
+  // recompute() scratch, kept across calls so a recompute allocates nothing.
+  // Between calls every `users_` list is empty and every `pair_fin_` slot 0.
+  std::vector<double> residual_;             // per link id: unclaimed capacity
+  std::vector<std::vector<Flight*>> users_;  // per link id: draining users
+  std::vector<int> touched_;                 // contended link ids in use
+  std::vector<Flight*> draining_;
+  std::vector<Flight*> freeze_;
+  std::vector<sim::Nanos> pair_fin_;  // per (src, dst): last finish so far
 };
 
 }  // namespace topo

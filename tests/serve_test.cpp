@@ -9,7 +9,12 @@
 #include <vector>
 
 #include "serve/server.hpp"
+#include "serve/workload.hpp"
+#include "sim/engine.hpp"
+#include "solvers/cg.hpp"
+#include "solvers/sparse_cg.hpp"
 #include "vgpu/costmodel.hpp"
+#include "vgpu/machine.hpp"
 
 namespace {
 
@@ -339,6 +344,111 @@ TEST(Serve, InfeasibleJobsAreRejectedNotWedged) {
   EXPECT_EQ(rep.jobs[0].out.detail.rfind("rejected:", 0), 0u);
   EXPECT_EQ(rep.jobs[2].out.detail.rfind("rejected:", 0), 0u);
   EXPECT_TRUE(rep.jobs[1].out.verified);
+}
+
+// --- Isolated baselines ---------------------------------------------------
+
+/// A one-at-a-time fleet: every job starts on an idle machine, so first-fit
+/// places it on devices 0..devices-1.
+ServeConfig serial_config(vgpu::MachineSpec machine) {
+  ServeConfig cfg;
+  cfg.machine = std::move(machine);
+  cfg.arrival.mode = ArrivalConfig::Mode::kClosed;
+  cfg.arrival.concurrency = 1;
+  return cfg;
+}
+
+/// The isolated baseline computed the direct way: the job alone, run
+/// functionally and verified, on an idle, fault-free, serial copy of the
+/// machine, on devices 0..devices-1.
+sim::Nanos functional_isolated_ns(const vgpu::MachineSpec& machine,
+                                  const JobSpec& spec, int blocks_per_device) {
+  vgpu::MachineSpec ms = machine;
+  ms.faults = fault::Config{};
+  ms.pdes_threads = 1;
+  vgpu::Machine m(ms);
+  m.trace().set_enabled(false);
+  serve::Placement place;
+  for (int d = 0; d < spec.devices; ++d) place.devices.push_back(d);
+  place.blocks_per_device = blocks_per_device;
+  auto work = serve::make_workload(m, spec, place, "direct", nullptr);
+  m.engine().spawn(work->task());
+  m.engine().run();
+  EXPECT_TRUE(work->verify()) << serve::name(spec.kind);
+  return m.engine().now();
+}
+
+TEST(ServeIsolated, BaselinesEqualAFunctionalRunOfEveryKind) {
+  std::vector<JobSpec> jobs;
+  jobs.push_back(job(0, "a", JobKind::kStencil, 2, 64, 8));
+  JobSpec ckpt = job(1, "a", JobKind::kStencil, 2, 64, 10);
+  ckpt.checkpoint_every = 2;
+  jobs.push_back(ckpt);
+  jobs.push_back(job(2, "b", JobKind::kCg, 2, 48, 12));
+  // Small Laplacians converge well before their caps: the loop ends on the
+  // devices' residual test, which only a functional baseline reaches.
+  JobSpec cg_conv = job(3, "b", JobKind::kCg, 2, 6, 200);
+  jobs.push_back(cg_conv);
+  jobs.push_back(job(4, "c", JobKind::kDacelite, 1, 24, 6));
+  jobs.push_back(job(5, "c", JobKind::kDacelite, 2, 24, 6));
+  JobSpec hist = job(6, "d", JobKind::kHistogram, 2, 97, 4);
+  hist.ny = 192;
+  hist.skew = 2;
+  hist.threads_per_block = 128;
+  jobs.push_back(hist);
+  JobSpec sparse = job(7, "e", JobKind::kSparseCg, 2, 24, 20);
+  sparse.imbalance = 4.0;
+  jobs.push_back(sparse);
+  JobSpec sparse_conv = job(8, "e", JobKind::kSparseCg, 2, 6, 200);
+  sparse_conv.imbalance = 2.0;
+  jobs.push_back(sparse_conv);
+
+  // The converging shapes really do stop early.
+  solvers::CgConfig cc;
+  cc.nx = cc.ny = 6;
+  cc.max_iterations = 200;
+  ASSERT_LT(solvers::cg_reference(cc, 2).iterations_run, 200);
+  solvers::SparseCgConfig sc;
+  sc.nx = sc.ny = 6;
+  sc.max_iterations = 200;
+  sc.imbalance = 2.0;
+  ASSERT_LT(solvers::sparse_cg_reference(sc, 2).iterations_run, 200);
+
+  for (const vgpu::MachineSpec& machine :
+       {vgpu::MachineSpec::dgx_pcie(8), vgpu::MachineSpec::multi_node(2, 4)}) {
+    const ServeReport rep = serve::run_serve(serial_config(machine), jobs);
+    ASSERT_EQ(rep.fleet.verified, static_cast<int>(jobs.size()));
+    for (const serve::JobRecord& r : rep.jobs) {
+      EXPECT_EQ(r.out.first_device, 0);
+      const sim::Nanos direct =
+          functional_isolated_ns(machine, r.spec, r.out.blocks_per_device);
+      EXPECT_EQ(r.isolated_us, sim::to_usec(direct))
+          << r.spec.id << " " << serve::name(r.spec.kind) << " "
+          << r.out.detail;
+    }
+  }
+}
+
+TEST(ServeIsolated, CacheKeySeparatesCheckpointIntervals) {
+  // Two serial 64x64x10 stencil jobs on 2 devices, one checkpointing every
+  // 2 iterations: the checkpoint captures cost time, so their isolated
+  // runtimes differ, and neither may inherit the other's in either order.
+  const vgpu::MachineSpec machine = vgpu::MachineSpec::dgx_pcie(8);
+  for (bool ckpt_first : {true, false}) {
+    std::vector<JobSpec> jobs;
+    jobs.push_back(job(0, "a", JobKind::kStencil, 2, 64, 10));
+    jobs.push_back(job(1, "b", JobKind::kStencil, 2, 64, 10));
+    jobs[ckpt_first ? 0 : 1].checkpoint_every = 2;
+    const ServeReport rep = serve::run_serve(serial_config(machine), jobs);
+    ASSERT_EQ(rep.fleet.verified, 2);
+    for (const serve::JobRecord& r : rep.jobs) {
+      const bool ckpt = r.spec.checkpoint_every > 0;
+      EXPECT_EQ(r.isolated_us, sim::to_usec(ckpt ? 51642 : 51590))
+          << "ckpt_first=" << ckpt_first << " job " << r.spec.id;
+      EXPECT_GE(r.slowdown, 1.0)
+          << "ckpt_first=" << ckpt_first << " job " << r.spec.id;
+    }
+  }
 }
 
 }  // namespace

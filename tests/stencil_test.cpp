@@ -4,6 +4,7 @@
 // ordering the paper reports.
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -419,6 +420,151 @@ TEST(Determinism, RepeatedRunsIdentical) {
       stencil::run_jacobi2d(Variant::kCpuFree, hgx(4), prob, cfg).result;
   EXPECT_EQ(a.metrics.total, b.metrics.total);
   EXPECT_EQ(a.metrics.comm, b.metrics.comm);
+}
+
+// --- Serial-reference memo -------------------------------------------------
+// SlabStencil::reference is memoized process-wide by (problem, iterations).
+// The shapes below are odd enough that no other test shares their keys.
+
+Jacobi2D memo_2d(std::size_t nx, std::size_t ny) {
+  Jacobi2D p;
+  p.nx = nx;
+  p.ny = ny;
+  return p;
+}
+
+Jacobi3D memo_3d(std::size_t nx, std::size_t ny, std::size_t nz) {
+  Jacobi3D p;
+  p.nx = nx;
+  p.ny = ny;
+  p.nz = nz;
+  return p;
+}
+
+// Timing-only stencil state: reference() needs no domain storage.
+StencilConfig memo_cfg() {
+  StencilConfig c;
+  c.functional = false;
+  return c;
+}
+
+template <class P>
+std::vector<double> reference_on(int devices, const P& prob, int iterations,
+                                 StencilConfig cfg = memo_cfg()) {
+  vgpu::Machine m(hgx(devices));
+  vshmem::World w(m);
+  SlabStencil<P> s(w, prob, cfg);
+  return s.reference(iterations);
+}
+
+template <class P>
+sim::Memo<std::pair<P, int>, std::vector<double>,
+          sim::kReferenceMemoCapacity>::Stats
+memo_stats() {
+  return stencil::reference_memo<P>().stats();
+}
+
+TEST(StencilReferenceMemo, HitEqualsRecomputation) {
+  const Jacobi2D p2 = memo_2d(37, 29);
+  const auto before2 = memo_stats<Jacobi2D>();
+  const std::vector<double> miss2 = reference_on(2, p2, 7);
+  const std::vector<double> hit2 = reference_on(2, p2, 7);
+  const auto after2 = memo_stats<Jacobi2D>();
+  EXPECT_EQ(after2.misses - before2.misses, 1u);
+  EXPECT_EQ(after2.hits - before2.hits, 1u);
+  EXPECT_EQ(miss2, stencil::serial_reference(p2, 7));
+  EXPECT_EQ(hit2, miss2);
+
+  const Jacobi3D p3 = memo_3d(9, 7, 11);
+  const auto before3 = memo_stats<Jacobi3D>();
+  const std::vector<double> miss3 = reference_on(2, p3, 5);
+  const std::vector<double> hit3 = reference_on(2, p3, 5);
+  const auto after3 = memo_stats<Jacobi3D>();
+  EXPECT_EQ(after3.misses - before3.misses, 1u);
+  EXPECT_EQ(after3.hits - before3.hits, 1u);
+  EXPECT_EQ(miss3, stencil::serial_reference(p3, 5));
+  EXPECT_EQ(hit3, miss3);
+}
+
+TEST(StencilReferenceMemo, EveryKeyedFieldIsAMiss) {
+  // Warm one base key per problem, then change one keyed field at a time:
+  // each variant must miss and match its own recomputation.
+  const Jacobi2D base2 = memo_2d(41, 23);
+  (void)reference_on(1, base2, 6);
+  const std::vector<std::pair<Jacobi2D, int>> variants2 = {
+      {memo_2d(42, 23), 6}, {memo_2d(41, 24), 6}, {base2, 5}};
+  for (const auto& [p, it] : variants2) {
+    const auto before = memo_stats<Jacobi2D>();
+    const std::vector<double> got = reference_on(1, p, it);
+    EXPECT_EQ(memo_stats<Jacobi2D>().misses - before.misses, 1u)
+        << p.nx << "x" << p.ny << " x" << it;
+    EXPECT_EQ(got, stencil::serial_reference(p, it));
+  }
+
+  const Jacobi3D base3 = memo_3d(7, 9, 13);
+  (void)reference_on(1, base3, 4);
+  const std::vector<std::pair<Jacobi3D, int>> variants3 = {
+      {memo_3d(8, 9, 13), 4},
+      {memo_3d(7, 10, 13), 4},
+      {memo_3d(7, 9, 14), 4},
+      {base3, 3}};
+  for (const auto& [p, it] : variants3) {
+    const auto before = memo_stats<Jacobi3D>();
+    const std::vector<double> got = reference_on(1, p, it);
+    EXPECT_EQ(memo_stats<Jacobi3D>().misses - before.misses, 1u)
+        << p.nx << "x" << p.ny << "x" << p.nz << " x" << it;
+    EXPECT_EQ(got, stencil::serial_reference(p, it));
+  }
+}
+
+TEST(StencilReferenceMemo, IgnoresFieldsOutsideTheKey) {
+  // The rank count and the StencilConfig do not enter the reference.
+  const Jacobi2D p = memo_2d(43, 31);
+  const std::vector<double> first = reference_on(1, p, 8);
+  StencilConfig other = small_cfg(3);
+  other.threads_per_block = 256;
+  other.compute_enabled = false;
+  other.trace = false;
+  const auto before = memo_stats<Jacobi2D>();
+  EXPECT_EQ(reference_on(3, p, 8), first);
+  EXPECT_EQ(reference_on(4, p, 8, other), first);
+  const auto after = memo_stats<Jacobi2D>();
+  EXPECT_EQ(after.hits - before.hits, 2u);
+  EXPECT_EQ(after.misses, before.misses);
+}
+
+TEST(StencilReferenceMemo, ConcurrentCallersSeeTheSerialResults) {
+  // More keys than the memo holds, so the threads share, evict and
+  // recompute entries while racing.
+  constexpr int kKeys = static_cast<int>(sim::kReferenceMemoCapacity) + 4;
+  std::vector<Jacobi2D> probs;
+  std::vector<std::vector<double>> expected;
+  for (int i = 0; i < kKeys; ++i) {
+    probs.push_back(memo_2d(19 + static_cast<std::size_t>(i), 17));
+    expected.push_back(stencil::serial_reference(probs.back(), 3 + i % 4));
+  }
+  std::vector<int> mismatches(8, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      vgpu::Machine m(hgx(2));
+      vshmem::World w(m);
+      for (int round = 0; round < 3; ++round) {
+        for (int k = 0; k < kKeys; ++k) {
+          const int i = (k + 5 * t) % kKeys;
+          SlabStencil<Jacobi2D> s(w, probs[static_cast<std::size_t>(i)],
+                                  memo_cfg());
+          if (s.reference(3 + i % 4) != expected[static_cast<std::size_t>(i)]) {
+            ++mismatches[static_cast<std::size_t>(t)];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < 8; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+  }
 }
 
 }  // namespace

@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "exec/comm.hpp"
 #include "sim/observe.hpp"
+#include "sim/rng.hpp"
 #include "topo/ledger.hpp"
 #include "topo/router.hpp"
 #include "topo/topology.hpp"
@@ -276,6 +278,199 @@ TEST(TopoObserver, ExclusiveLanesReportQueueing) {
   // FIFO lane, unchanged flat-model timing.
   EXPECT_EQ(a, 3000);
   EXPECT_EQ(b, 4000);
+}
+
+// --- Ledger pins ------------------------------------------------------------
+// Seeded batches of contended transfers on the shared-trunk machines, with and
+// without link-degradation windows. The completion instants and the
+// observer's per-link concurrency counts are pinned to values captured from
+// the map-based LinkLedger::recompute; the scratch-based one must reproduce
+// every rate and finish time bitwise.
+
+// FNV-1a over a stream of 64-bit words.
+struct Digest {
+  std::uint64_t h = 1469598103934665603ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  void add(std::string_view s) {
+    for (char c : s) {
+      add(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
+    }
+  }
+};
+
+// Counts every link event into a digest, with the concurrency it reported.
+class LinkDigest : public sim::Observer {
+ public:
+  void on_link_busy(std::uint64_t flight, std::string_view link, int concurrent,
+                    Nanos queued_ns, std::string_view what) override {
+    static_cast<void>(what);
+    d.add(flight);
+    d.add(link);
+    d.add(static_cast<std::uint64_t>(concurrent));
+    d.add(static_cast<std::uint64_t>(queued_ns));
+    ++busy;
+    if (concurrent > max_concurrent) max_concurrent = concurrent;
+  }
+  void on_link_release(std::uint64_t flight, std::string_view link,
+                       int concurrent) override {
+    d.add(~flight);
+    d.add(link);
+    d.add(static_cast<std::uint64_t>(concurrent));
+    ++releases;
+  }
+  void on_fault(const sim::Actor& who, std::string_view site,
+                std::string_view what) override {
+    static_cast<void>(who);
+    d.add(site);
+    d.add(what);
+    ++faults;
+  }
+  Digest d;
+  int busy = 0;
+  int releases = 0;
+  int faults = 0;
+  int max_concurrent = 0;
+};
+
+sim::Task delayed_transfer(vgpu::Machine& m, Nanos start, int src, int dst,
+                           double bytes, TransferKind kind, Nanos& done_at) {
+  co_await m.engine().delay(start);
+  co_await m.transfer(src, dst, bytes, kind, 0, "pin");
+  done_at = m.engine().now();
+}
+
+sim::Task delayed_staging(vgpu::Machine& m, Nanos start, int dev, double bytes,
+                          bool to_host, Nanos& done_at) {
+  co_await m.engine().delay(start);
+  co_await m.staging_transfer(dev, bytes, to_host, "pin_staging");
+  done_at = m.engine().now();
+}
+
+struct PinRun {
+  std::uint64_t instants = 0;  // digest of every completion instant
+  std::uint64_t events = 0;    // digest of the link-event stream
+  Nanos last = 0;
+  int busy = 0;
+  int releases = 0;
+  int faults = 0;
+  int max_concurrent = 0;
+};
+
+// `count` transfers drawn from `seed`: random ordered pairs (a few staging
+// transfers to and from the host), 4 KiB..1 MiB, starts spread over 60 us so
+// flights overlap, land and re-admit.
+PinRun run_pinned_batch(MachineSpec spec, std::uint64_t seed, int count,
+                        bool degrade) {
+  if (degrade) {
+    spec.faults.seed = seed;
+    spec.faults.rate = 0.3;
+    spec.faults.classes = fault::kClassLink | fault::kClassFlap;
+    spec.faults.fault_window = sim::usec(5);
+  }
+  vgpu::Machine m(spec);
+  LinkDigest log;
+  m.engine().set_observer(&log);
+  m.enable_all_peer_access();
+  const int n = spec.num_devices;
+  std::vector<Nanos> done(static_cast<std::size_t>(count), 0);
+  for (int i = 0; i < count; ++i) {
+    const auto u = static_cast<std::uint64_t>(i);
+    const auto src = static_cast<int>(sim::stream_mix(seed, 1, u, 0) %
+                                      static_cast<std::uint64_t>(n));
+    auto dst = static_cast<int>(sim::stream_mix(seed, 2, u, 0) %
+                                static_cast<std::uint64_t>(n - 1));
+    if (dst >= src) ++dst;
+    const double bytes = static_cast<double>(
+        4096 + sim::stream_mix(seed, 3, u, 0) % (1u << 20));
+    const auto start =
+        static_cast<Nanos>(sim::stream_mix(seed, 4, u, 0) % 60000);
+    Nanos& at = done[static_cast<std::size_t>(i)];
+    const std::uint64_t shape = sim::stream_mix(seed, 5, u, 0) % 8;
+    if (shape == 0) {
+      const bool to_host = (sim::stream_mix(seed, 6, u, 0) & 1) != 0;
+      m.engine().spawn(delayed_staging(m, start, src, bytes, to_host, at));
+    } else {
+      const TransferKind kind = shape == 1 ? TransferKind::kHostInitiated
+                                           : TransferKind::kDeviceInitiated;
+      m.engine().spawn(delayed_transfer(m, start, src, dst, bytes, kind, at));
+    }
+  }
+  m.engine().run();
+  PinRun r;
+  Digest d;
+  for (Nanos t : done) {
+    d.add(static_cast<std::uint64_t>(t));
+    if (t > r.last) r.last = t;
+  }
+  r.instants = d.h;
+  r.events = log.d.h;
+  r.busy = log.busy;
+  r.releases = log.releases;
+  r.faults = log.faults;
+  r.max_concurrent = log.max_concurrent;
+  return r;
+}
+
+struct Pin {
+  bool multi_node;
+  bool degrade;
+  std::uint64_t seed;
+  std::uint64_t instants;
+  std::uint64_t events;
+  Nanos last;
+  int busy;  // == releases: every flight's links are released once
+  int faults;
+  int max_concurrent;
+};
+
+constexpr Pin kPins[] = {
+    {false, false, 11, 0xcc46982021386bbdull, 0x1a89197b85f95e63ull,
+     617913, 152, 0, 15},
+    {false, false, 12, 0x3c89f1bcb8fc24ffull, 0x8e18a3e3c8ff83e3ull,
+     862645, 136, 0, 15},
+    {false, false, 13, 0xb8449c49c1a8465dull, 0x8669ab9a63d31249ull,
+     843082, 142, 0, 16},
+    {false, true, 11, 0x4f6686426436ce59ull, 0x913bd9d88c65115bull,
+     1807336, 152, 249, 16},
+    {false, true, 12, 0x7325450053f35c99ull, 0xb496b3873e27fb7bull,
+     1284901, 136, 248, 15},
+    {false, true, 13, 0x5db5798386ca265dull, 0x4ae4832a882da8d3ull,
+     1549715, 142, 203, 16},
+    {true, false, 11, 0x7073646a7b3af943ull, 0x5a62eed94980e552ull,
+     284342, 104, 0, 12},
+    {true, false, 12, 0xcf4965713045661full, 0xf3c11f94ef3eddc4ull,
+     292262, 88, 0, 10},
+    {true, false, 13, 0x394fd155b71f8655ull, 0x7adecc0403fe3541ull,
+     357205, 94, 0, 14},
+    {true, true, 11, 0xde57e154182da73bull, 0x875d4bc28fa57b61ull,
+     586373, 104, 111, 12},
+    {true, true, 12, 0x0c20137bd7e963f8ull, 0x7d06c394c129db39ull,
+     885519, 88, 114, 11},
+    {true, true, 13, 0x3187dbe6775ba12full, 0x2361bab99ec92dfbull,
+     456591, 94, 100, 14},
+};
+
+TEST(LedgerPins, SeededBatchesMatchThePinnedTimeline) {
+  for (const Pin& p : kPins) {
+    const MachineSpec spec = p.multi_node ? MachineSpec::multi_node(2, 4)
+                                          : MachineSpec::dgx_pcie(8);
+    const PinRun r = run_pinned_batch(spec, p.seed, 48, p.degrade);
+    SCOPED_TRACE(testing::Message()
+                 << (p.multi_node ? "multi_node" : "dgx_pcie")
+                 << " degrade=" << p.degrade << " seed=" << p.seed);
+    EXPECT_EQ(r.instants, p.instants);
+    EXPECT_EQ(r.events, p.events);
+    EXPECT_EQ(r.last, p.last);
+    EXPECT_EQ(r.busy, p.busy);
+    EXPECT_EQ(r.releases, p.busy);
+    EXPECT_EQ(r.faults, p.faults);
+    EXPECT_EQ(r.max_concurrent, p.max_concurrent);
+  }
 }
 
 }  // namespace
