@@ -1,24 +1,32 @@
 // Shadow memory for the race detector.
 //
 // One AccessTable per allocation base. The table keeps disjoint byte
-// segments; each segment carries the last write (epoch + attribution) and
-// the reads since that write, at most one per timeline (a later read by the
-// same timeline subsumes the earlier one). An incoming access splits
-// existing segments at its boundaries, materializes empty segments over
-// uncovered bytes, and then checks/updates every segment it overlaps:
+// segments in a flat vector sorted by address; each segment carries the last
+// write (epoch + attribution) and the reads since that write, at most one per
+// timeline (a later read by the same timeline subsumes the earlier one). An
+// incoming access splits existing segments at its boundaries, materializes
+// empty segments over uncovered bytes, and then checks/updates every segment
+// it overlaps:
 //
 //  * any access races with an uncovered prior write (write->read /
 //    write->write);
 //  * a write additionally races with every uncovered prior read
 //    (read->write).
 //
-// Accesses published by the workloads are halo-region-granular, so segment
-// boundaries align after the first few touches and tables stay tiny.
+// A strided access (`count` elements of `elem` bytes, `stride` bytes apart)
+// is one ascending walk of the vector with a cursor. When some element's
+// boundaries are not yet segment boundaries, one merge pass reshapes the
+// vector for every remaining element at once. Accesses published by the
+// workloads are halo-region-granular, so boundaries align after the first
+// touch and the steady state is a split-free walk.
+//
+// Attribution is interned: a segment stores two ids into the Detector's name
+// table, so recording an access copies no strings.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <map>
-#include <string>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -26,11 +34,13 @@
 
 namespace check {
 
-/// Attribution for one recorded access.
+/// Attribution for one recorded access: the epoch plus interned names of
+/// the actor ("pe1/k0.g2(comm_top)", "wire0->1", ...) and of the operation
+/// ("halo_read", "putmem_signal_nbi", ...).
 struct AccessInfo {
   Epoch epoch{};
-  std::string actor;  // "pe1/k0.g2(comm_top)", "wire0->1", ...
-  std::string what;   // "halo_read", "putmem_signal_nbi", ...
+  std::uint32_t actor = 0;
+  std::uint32_t what = 0;
 };
 
 /// Shadow state for one allocation.
@@ -44,26 +54,35 @@ class AccessTable {
               const AccessInfo& cur, const VectorClock& vc,
               Reporter&& report) {
     if (hi <= lo) return;
-    split_at(lo);
-    split_at(hi);
-    // Cover gaps in [lo, hi) with fresh (history-free) segments. std::map
-    // iterators stay valid across emplace, and the inserted keys are behind
-    // the cursor, so the sweep is safe.
-    std::size_t cursor = lo;
-    for (auto it = segs_.lower_bound(lo); it != segs_.end() && it->first < hi;
-         ++it) {
-      if (it->first > cursor) segs_.emplace(cursor, Segment{it->first, {}, {}});
-      cursor = it->second.hi;
-    }
-    if (cursor < hi) segs_.emplace(cursor, Segment{hi, {}, {}});
-    for (auto it = segs_.lower_bound(lo); it != segs_.end() && it->first < hi;
-         ++it) {
-      apply(it->second, is_write, cur, vc, report);
+    access_strided(lo, hi - lo, hi - lo, 1, is_write, cur, vc, report);
+  }
+
+  /// Records `count` accesses of `elem` bytes at lo, lo + stride, ...
+  /// (stride >= elem), reporting races element by element in address
+  /// order, exactly as `count` separate access() calls would.
+  template <typename Reporter>
+  void access_strided(std::size_t lo, std::size_t elem, std::size_t stride,
+                      std::size_t count, bool is_write, const AccessInfo& cur,
+                      const VectorClock& vc, Reporter&& report) {
+    if (elem == 0) return;
+    std::size_t pos = first_ending_after(lo);
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::size_t a = lo + k * stride;
+      const std::size_t b = a + elem;
+      while (pos < segs_.size() && segs_[pos].hi <= a) ++pos;
+      if (!tiled(pos, a, b)) {
+        reshape(a, elem, stride, count - k);
+        pos = first_ending_after(a);
+      }
+      for (; pos < segs_.size() && segs_[pos].lo < b; ++pos) {
+        apply(segs_[pos], is_write, cur, vc, report);
+      }
     }
   }
 
  private:
   struct Segment {
+    std::size_t lo = 0;
     std::size_t hi = 0;
     AccessInfo write{};               // write.epoch.clk == 0: never written
     std::vector<AccessInfo> reads{};  // at most one entry per timeline
@@ -92,19 +111,72 @@ class AccessTable {
     s.reads.push_back(cur);
   }
 
-  /// Splits the segment straddling byte `p` so that `p` becomes a boundary.
-  void split_at(std::size_t p) {
-    auto it = segs_.upper_bound(p);
-    if (it == segs_.begin()) return;
-    --it;
-    if (it->first < p && p < it->second.hi) {
-      Segment tail = it->second;  // inherits write + reads
-      it->second.hi = p;
-      segs_.emplace(p, std::move(tail));
+  /// Index of the first segment with hi > p (segments are disjoint and
+  /// sorted, so their ends are sorted too).
+  [[nodiscard]] std::size_t first_ending_after(std::size_t p) const {
+    return static_cast<std::size_t>(
+        std::partition_point(segs_.begin(), segs_.end(),
+                             [p](const Segment& s) { return s.hi <= p; }) -
+        segs_.begin());
+  }
+
+  /// True when segments pos, pos+1, ... exactly tile [a, b).
+  [[nodiscard]] bool tiled(std::size_t pos, std::size_t a,
+                           std::size_t b) const {
+    if (pos >= segs_.size() || segs_[pos].lo != a) return false;
+    for (;; ++pos) {
+      const std::size_t hi = segs_[pos].hi;
+      if (hi >= b) return hi == b;
+      if (pos + 1 == segs_.size() || segs_[pos + 1].lo != hi) return false;
     }
   }
 
-  std::map<std::size_t, Segment> segs_;  // keyed by segment lo; disjoint
+  /// One merge pass making every element [a_k, a_k + elem) of the strided
+  /// run exactly tiled by segments: straddling segments split (both halves
+  /// keep the history), uncovered bytes inside an element get fresh
+  /// segments. Bytes between elements are left as they are.
+  void reshape(std::size_t lo, std::size_t elem, std::size_t stride,
+               std::size_t count) {
+    std::vector<Segment> next;
+    next.reserve(segs_.size() + 2 * count + 1);
+    std::size_t j = 0;
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::size_t a = lo + k * stride;
+      const std::size_t b = a + elem;
+      while (j < segs_.size() && segs_[j].hi <= a) {
+        next.push_back(std::move(segs_[j++]));
+      }
+      if (j < segs_.size() && segs_[j].lo < a) {  // straddles a: split
+        next.push_back(segs_[j]);
+        next.back().hi = a;
+        segs_[j].lo = a;
+      }
+      std::size_t cursor = a;
+      while (cursor < b) {
+        if (j == segs_.size() || segs_[j].lo >= b) {
+          next.push_back(Segment{cursor, b, {}, {}});
+          break;
+        }
+        if (segs_[j].lo > cursor) {
+          next.push_back(Segment{cursor, segs_[j].lo, {}, {}});
+          cursor = segs_[j].lo;
+          continue;
+        }
+        if (segs_[j].hi > b) {  // straddles b: split
+          next.push_back(segs_[j]);
+          next.back().hi = b;
+          segs_[j].lo = b;
+          break;
+        }
+        cursor = segs_[j].hi;
+        next.push_back(std::move(segs_[j++]));
+      }
+    }
+    for (; j < segs_.size(); ++j) next.push_back(std::move(segs_[j]));
+    segs_.swap(next);
+  }
+
+  std::vector<Segment> segs_;  // sorted by lo; disjoint
 };
 
 }  // namespace check

@@ -68,32 +68,43 @@ std::string Detector::report_text() const {
   return out;
 }
 
-void Detector::check_range(const sim::Actor& actor, const VectorClock& clock,
-                           Epoch e, const sim::MemRange& range, bool is_write,
-                           std::string_view what) {
+std::uint32_t Detector::intern(std::string_view name) {
+  auto it = attr_ids_.find(name);
+  if (it != attr_ids_.end()) return it->second;
+  const auto id = static_cast<std::uint32_t>(attr_names_.size());
+  attr_names_.emplace_back(name);
+  attr_ids_.emplace(std::string(name), id);
+  return id;
+}
+
+AccessInfo Detector::attribute(const sim::Actor& actor, Epoch e,
+                              std::string_view what) {
+  return AccessInfo{e, intern(actor_desc(actor)), intern(what)};
+}
+
+void Detector::check_range(const AccessInfo& cur, const VectorClock& clock,
+                           const sim::MemRange& range, bool is_write) {
   if (range.empty()) return;
-  AccessInfo cur{e, actor_desc(actor), std::string(what)};
   AccessTable& table = shadow_[range.base];
   auto on_race = [&](const AccessInfo& prior, bool prior_is_write) {
-    const auto key = std::make_tuple(range.base, e.tid, prior.epoch.tid,
-                                     is_write, prior_is_write);
+    const auto key = std::make_tuple(range.base, cur.epoch.tid,
+                                     prior.epoch.tid, is_write, prior_is_write);
     if (!race_keys_.insert(key).second) return;
     if (races_.size() >= kMaxRaces) {
       ++suppressed_races_;
       return;
     }
-    races_.push_back(RaceReport{range_desc(range), cur.actor, cur.what,
-                                is_write, prior.actor, prior.what,
-                                prior_is_write});
+    races_.push_back(RaceReport{range_desc(range), attr_names_[cur.actor],
+                                attr_names_[cur.what], is_write,
+                                attr_names_[prior.actor],
+                                attr_names_[prior.what], prior_is_write});
   };
   if (range.strided()) {
     // Element-accurate: a strided access touches `count` elements `stride`
     // bytes apart, NOT the whole bounding box — interleaved columns of the
     // same array are disjoint and must not be reported against each other.
-    for (std::size_t i = 0; i < range.count; ++i) {
-      const std::size_t at = range.lo + i * range.stride;
-      table.access(at, at + range.elem, is_write, cur, clock, on_race);
-    }
+    table.access_strided(range.lo, range.elem, range.stride, range.count,
+                         is_write, cur, clock, on_race);
     return;
   }
   table.access(range.lo, range.hi, is_write, cur, clock, on_race);
@@ -251,8 +262,11 @@ void Detector::on_put_issue(std::uint64_t op_id, const sim::Actor& issuer,
   // The source read and destination write are attributed to the wire at the
   // issue epoch. Sound: the wire clock covers the issuer here, and same-link
   // transfers are serialized in issue order.
-  check_range(wire, vc(w), e, read, /*is_write=*/false, what);
-  check_range(wire, vc(w), e, write, /*is_write=*/true, what);
+  if (!read.empty() || !write.empty()) {
+    const AccessInfo cur = attribute(wire, e, what);
+    check_range(cur, vc(w), read, /*is_write=*/false);
+    check_range(cur, vc(w), write, /*is_write=*/true);
+  }
   PutRec rec;
   rec.snapshot = vc(w);
   rec.issuer = issuer;
@@ -304,7 +318,7 @@ void Detector::on_access(const sim::Actor& actor, const sim::MemRange& range,
   if (range.empty()) return;
   const Tid t = tid(actor);
   const Epoch e{t, vc(t).tick(t)};
-  check_range(actor, vc(t), e, range, is_write, what);
+  check_range(attribute(actor, e, what), vc(t), range, is_write);
 }
 
 // --- terminal diagnosis ------------------------------------------------------

@@ -34,11 +34,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -151,9 +153,12 @@ class Detector final : public sim::Observer {
   VectorClock& vc(Tid t) { return clocks_[t]; }
   [[nodiscard]] std::string actor_desc(const sim::Actor& actor) const;
   [[nodiscard]] std::string range_desc(const sim::MemRange& range) const;
-  void check_range(const sim::Actor& actor, const VectorClock& clock, Epoch e,
-                   const sim::MemRange& range, bool is_write,
-                   std::string_view what);
+  /// Id of `name` in the attribution table (added on first use).
+  std::uint32_t intern(std::string_view name);
+  /// The access record of `actor` doing `what` at epoch `e`.
+  AccessInfo attribute(const sim::Actor& actor, Epoch e, std::string_view what);
+  void check_range(const AccessInfo& cur, const VectorClock& clock,
+                   const sim::MemRange& range, bool is_write);
 
   std::map<sim::Actor, Tid> tids_;
   std::vector<VectorClock> clocks_;
@@ -161,6 +166,17 @@ class Detector final : public sim::Observer {
 
   std::map<std::uintptr_t, MemBlock> mem_;
   std::map<std::uintptr_t, AccessTable> shadow_;
+  // Attribution names (actor descriptions and operation labels) that shadow
+  // segments refer to by index; race text is rendered from here.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::vector<std::string> attr_names_;
+  std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>>
+      attr_ids_;
 
   std::map<const void*, VectorClock> flag_clock_;
   // (stream, ticket) -> enqueuer clock at enqueue time

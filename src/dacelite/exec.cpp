@@ -89,11 +89,8 @@ ProgramData::ProgramData(vshmem::World& world, const Sdfg& sdfg,
   for (const auto& [name, desc] : sdfg.arrays) {
     const std::size_t n = functional ? desc.size : 1;
     vshmem::Sym<double> arr = world.alloc<double>(n, name);
-    if (functional && desc.init) {
-      for (int pe = 0; pe < world.n_pes(); ++pe) {
-        auto s = arr.on(pe);
-        for (std::size_t i = 0; i < s.size(); ++i) s[i] = desc.init(pe, i);
-      }
+    if (functional && desc.fill) {
+      for (int pe = 0; pe < world.n_pes(); ++pe) desc.fill(pe, arr.on(pe));
     }
     arrays_.emplace(name, std::move(arr));
   }

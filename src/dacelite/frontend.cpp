@@ -1,10 +1,13 @@
 #include "dacelite/frontend.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "dacelite/pass.hpp"
 #include "dacelite/transforms.hpp"
+#include "sim/intmath.hpp"
 
 namespace dacelite {
 
@@ -22,20 +25,32 @@ void to_cpu_free(Sdfg& sdfg) {
 
 namespace {
 
-double init1d(std::size_t g) {
-  return static_cast<double>((g * 37 + 11) % 101) / 101.0;
+/// Offsets i in [0, count) whose global index first + i is an interior point
+/// of an n-point axis: the range the Dirichlet ends leave to the update.
+std::pair<std::size_t, std::size_t> interior(std::size_t first,
+                                             std::size_t count, std::size_t n) {
+  const std::size_t lo = first == 0 ? 1 : 0;
+  const std::size_t end = first + 1 < n ? n - 1 - first : 0;
+  return {lo, std::min(count, end)};
 }
 
-/// 3-point update with Dirichlet ends, shared by the map body and reference.
+/// out[i] = ((g0 + i) * 37 + 11) % 101 / 101: the 1D initial condition.
+void fill1d(std::span<double> out, std::size_t g0) {
+  sim::fill_residues(out, (g0 * 37 + 11) % 101, 37, 101);
+}
+
+/// 3-point update of `count` points starting at global index `first_global`
+/// (stored at local index `local_offset`), Dirichlet ends left unwritten.
+/// Shared by the map body and the reference.
 void jacobi1d_step(std::span<const double> src, std::span<double> dst,
                    std::size_t first_global, std::size_t count,
                    std::size_t global_n, std::size_t local_offset) {
   constexpr double kThird = 1.0 / 3.0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t g = first_global + i;
-    if (g == 0 || g + 1 >= global_n) continue;
-    const std::size_t l = local_offset + i;
-    dst[l] = kThird * (src[l - 1] + src[l] + src[l + 1]);
+  const auto [lo, hi] = interior(first_global, count, global_n);
+  const double* a = src.data() + local_offset;
+  double* b = dst.data() + local_offset;
+  for (std::size_t i = lo; i < hi; ++i) {
+    b[i] = kThird * (a[i - 1] + a[i] + a[i + 1]);
   }
 }
 
@@ -56,15 +71,19 @@ Jacobi1DProgram make_jacobi1d(std::size_t global_n, int ranks, int iterations) {
   s.name = "jacobi1d";
   s.default_iterations = iterations;
 
-  auto initA = [ln](int rank, std::size_t i) {
-    // Local layout: [0] left halo, [1..ln] interior, [ln+1] right halo.
-    const auto g = static_cast<std::ptrdiff_t>(
-                       static_cast<std::size_t>(rank) * ln + i) -
-                   1;
-    return g < 0 ? 0.0 : init1d(static_cast<std::size_t>(g));
+  auto fillA = [ln](int rank, std::span<double> local) {
+    // Local layout: [0] left halo, [1..ln] interior, [ln+1] right halo;
+    // element i holds global point rank * ln + i - 1 (rank 0's left halo,
+    // global -1, stays zero).
+    const std::size_t first = static_cast<std::size_t>(rank) * ln;
+    if (first == 0) {
+      fill1d(local.subspan(1), 0);
+    } else {
+      fill1d(local, first - 1);
+    }
   };
-  s.add_array(ArrayDesc{"A", ln + 2, Storage::kHost, initA});
-  s.add_array(ArrayDesc{"B", ln + 2, Storage::kHost, initA});
+  s.add_array(ArrayDesc{"A", ln + 2, Storage::kHost, fillA});
+  s.add_array(ArrayDesc{"B", ln + 2, Storage::kHost, fillA});
 
   // State 1: halo exchange (Listing 5.1 — Isend pairs + Waitall).
   State& comm = s.add_body_state("exchange");
@@ -138,9 +157,8 @@ Jacobi1DProgram make_jacobi1d(std::size_t global_n, int ranks, int iterations) {
     map.reads = {"B"};
     map.writes = {"A"};
     map.body = [ln](ExecCtx& c) {
-      auto a = c.local("A");
       auto b = c.local("B");
-      for (std::size_t i = 1; i <= ln; ++i) a[i] = b[i];
+      std::copy_n(b.begin() + 1, ln, c.local("A").begin() + 1);
     };
     copy.add(std::move(map));
   }
@@ -152,20 +170,20 @@ Jacobi1DProgram make_jacobi1d(std::size_t global_n, int ranks, int iterations) {
 std::vector<double> Jacobi1DProgram::gather(ProgramData& data) const {
   std::vector<double> out(global_n);
   for (int r = 0; r < ranks; ++r) {
-    auto a = data.local("A", r);
-    for (std::size_t i = 0; i < local_n; ++i) {
-      out[static_cast<std::size_t>(r) * local_n + i] = a[i + 1];
-    }
+    std::copy_n(data.local("A", r).begin() + 1, local_n,
+                out.begin() + static_cast<std::ptrdiff_t>(
+                                  static_cast<std::size_t>(r) * local_n));
   }
   return out;
 }
 
 std::vector<double> Jacobi1DProgram::reference(int iterations) const {
-  std::vector<double> a(global_n), b(global_n);
-  for (std::size_t g = 0; g < global_n; ++g) a[g] = b[g] = init1d(g);
+  std::vector<double> a(global_n);
+  fill1d(a, 0);
+  std::vector<double> b = a;
   for (int t = 1; t <= iterations; ++t) {
     jacobi1d_step(a, b, 0, global_n, global_n, 0);
-    a = b;
+    a.swap(b);  // the Dirichlet ends are equal in both buffers
   }
   return a;
 }
@@ -174,8 +192,20 @@ std::vector<double> Jacobi1DProgram::reference(int iterations) const {
 
 namespace {
 
-double init2d(std::size_t gy, std::size_t gx) {
-  return static_cast<double>((gy * 131 + gx * 17) % 97) / 97.0;
+/// out[i] = ((row * 131 + (col0 + i) * 17) % 97) / 97 for one row of global
+/// points: the 2D initial condition.
+void fill2d_row(std::span<double> out, std::size_t row, std::size_t col0) {
+  sim::fill_residues(out, (row * 131 + col0 * 17) % 97, 17, 97);
+}
+
+/// 5-point update of one row's points [lo, hi): `mid` is the row, `up` and
+/// `down` its neighbours (same column indexing). Shared by the map body and
+/// the reference.
+void jacobi2d_row(const double* up, const double* mid, const double* down,
+                  double* out, std::size_t lo, std::size_t hi) {
+  for (std::size_t i = lo; i < hi; ++i) {
+    out[i] = 0.25 * (up[i] + down[i] + mid[i - 1] + mid[i + 1]);
+  }
 }
 
 }  // namespace
@@ -208,27 +238,23 @@ Jacobi2DProgram make_jacobi2d(std::size_t gx, std::size_t gy, int ranks,
   s.name = "jacobi2d";
   s.default_iterations = iterations;
 
-  auto initA = [lnx, lny, w, px, gx, gy](int rank, std::size_t i) {
-    const int rx = rank % px;
-    const int ry = rank / px;
-    const auto iy = static_cast<std::ptrdiff_t>(i / w) - 1;
-    const auto ix = static_cast<std::ptrdiff_t>(i % w) - 1;
-    const auto py_g = static_cast<std::ptrdiff_t>(ry) *
-                          static_cast<std::ptrdiff_t>(lny) +
-                      iy;
-    const auto px_g = static_cast<std::ptrdiff_t>(rx) *
-                          static_cast<std::ptrdiff_t>(lnx) +
-                      ix;
-    if (py_g < 0 || px_g < 0 || py_g >= static_cast<std::ptrdiff_t>(gy) ||
-        px_g >= static_cast<std::ptrdiff_t>(gx)) {
-      return 0.0;
+  auto fillA = [lnx, lny, w, px, gx, gy](int rank, std::span<double> local) {
+    // Local row iy / column ix hold global point (row0 + iy - 1,
+    // col0 + ix - 1); points outside the domain stay zero.
+    const std::size_t row0 = static_cast<std::size_t>(rank / px) * lny;
+    const std::size_t col0 = static_cast<std::size_t>(rank % px) * lnx;
+    const std::size_t ix_lo = col0 == 0 ? 1 : 0;
+    const std::size_t ix_hi = std::min(w, gx + 1 - col0);
+    for (std::size_t iy = row0 == 0 ? 1 : 0; iy < lny + 2; ++iy) {
+      const std::size_t row = row0 + iy - 1;
+      if (row >= gy) break;
+      fill2d_row(local.subspan(iy * w + ix_lo, ix_hi - ix_lo), row,
+                 col0 + ix_lo - 1);
     }
-    return init2d(static_cast<std::size_t>(py_g),
-                  static_cast<std::size_t>(px_g));
   };
   const std::size_t local_size = (lny + 2) * w;
-  s.add_array(ArrayDesc{"A", local_size, Storage::kHost, initA});
-  s.add_array(ArrayDesc{"B", local_size, Storage::kHost, initA});
+  s.add_array(ArrayDesc{"A", local_size, Storage::kHost, fillA});
+  s.add_array(ArrayDesc{"B", local_size, Storage::kHost, fillA});
 
   // Rank-grid helpers (captured by value in the node lambdas).
   auto row_of = [px](int r) { return r / px; };
@@ -328,20 +354,17 @@ Jacobi2DProgram make_jacobi2d(std::size_t gx, std::size_t gy, int ranks,
     const std::size_t ggx = gx;
     const std::size_t ggy = gy;
     map.body = [lnx, lny, w, px, ggx, ggy](ExecCtx& c) {
-      const int rx = c.rank % px;
-      const int ry = c.rank / px;
-      auto a = c.local("A");
-      auto b = c.local("B");
-      for (std::size_t iy = 1; iy <= lny; ++iy) {
-        const std::size_t row_g = static_cast<std::size_t>(ry) * lny + iy - 1;
-        if (row_g == 0 || row_g + 1 >= ggy) continue;
-        for (std::size_t ix = 1; ix <= lnx; ++ix) {
-          const std::size_t col_g =
-              static_cast<std::size_t>(rx) * lnx + ix - 1;
-          if (col_g == 0 || col_g + 1 >= ggx) continue;
-          const std::size_t i = iy * w + ix;
-          b[i] = 0.25 * (a[i - w] + a[i + w] + a[i - 1] + a[i + 1]);
-        }
+      // The Dirichlet/rank-edge ranges, once per call: local row iy and
+      // column ix are global (row0 + iy - 1, col0 + ix - 1).
+      const std::size_t row0 = static_cast<std::size_t>(c.rank / px) * lny;
+      const std::size_t col0 = static_cast<std::size_t>(c.rank % px) * lnx;
+      const auto [y_lo, y_hi] = interior(row0, lny, ggy);
+      const auto [x_lo, x_hi] = interior(col0, lnx, ggx);
+      const double* a = c.local("A").data();
+      double* b = c.local("B").data();
+      for (std::size_t y = y_lo; y < y_hi; ++y) {
+        const std::size_t i = (y + 1) * w + 1;
+        jacobi2d_row(a + i - w, a + i, a + i + w, b + i, x_lo, x_hi);
       }
     };
     compute.add(std::move(map));
@@ -356,12 +379,10 @@ Jacobi2DProgram make_jacobi2d(std::size_t gx, std::size_t gy, int ranks,
     map.reads = {"B"};
     map.writes = {"A"};
     map.body = [lnx, lny, w](ExecCtx& c) {
-      auto a = c.local("A");
-      auto b = c.local("B");
+      const double* b = c.local("B").data();
+      double* a = c.local("A").data();
       for (std::size_t iy = 1; iy <= lny; ++iy) {
-        for (std::size_t ix = 1; ix <= lnx; ++ix) {
-          a[iy * w + ix] = b[iy * w + ix];
-        }
+        std::copy_n(b + iy * w + 1, lnx, a + iy * w + 1);
       }
     };
     copy.add(std::move(map));
@@ -375,35 +396,30 @@ std::vector<double> Jacobi2DProgram::gather(ProgramData& data) const {
   std::vector<double> out(gx * gy);
   const std::size_t w = lnx + 2;
   for (int r = 0; r < ranks; ++r) {
-    const int rx = r % px;
-    const int ry = r / px;
-    auto a = data.local("A", r);
+    const std::size_t row0 = static_cast<std::size_t>(r / px) * lny;
+    const std::size_t col0 = static_cast<std::size_t>(r % px) * lnx;
+    const double* a = data.local("A", r).data();
     for (std::size_t iy = 1; iy <= lny; ++iy) {
-      for (std::size_t ix = 1; ix <= lnx; ++ix) {
-        const std::size_t row_g = static_cast<std::size_t>(ry) * lny + iy - 1;
-        const std::size_t col_g = static_cast<std::size_t>(rx) * lnx + ix - 1;
-        out[row_g * gx + col_g] = a[iy * w + ix];
-      }
+      std::copy_n(a + iy * w + 1, lnx, out.data() + (row0 + iy - 1) * gx + col0);
     }
   }
   return out;
 }
 
 std::vector<double> Jacobi2DProgram::reference(int iterations) const {
-  std::vector<double> a(gx * gy), b(gx * gy);
+  std::vector<double> a(gx * gy);
   for (std::size_t row = 0; row < gy; ++row) {
-    for (std::size_t col = 0; col < gx; ++col) {
-      a[row * gx + col] = b[row * gx + col] = init2d(row, col);
-    }
+    fill2d_row(std::span<double>(a).subspan(row * gx, gx), row, 0);
   }
+  std::vector<double> b = a;
+  const auto [y_lo, y_hi] = interior(0, gy, gy);
+  const auto [x_lo, x_hi] = interior(0, gx, gx);
   for (int t = 1; t <= iterations; ++t) {
-    for (std::size_t row = 1; row + 1 < gy; ++row) {
-      for (std::size_t col = 1; col + 1 < gx; ++col) {
-        const std::size_t i = row * gx + col;
-        b[i] = 0.25 * (a[i - gx] + a[i + gx] + a[i - 1] + a[i + 1]);
-      }
+    for (std::size_t row = y_lo; row < y_hi; ++row) {
+      const double* mid = a.data() + row * gx;
+      jacobi2d_row(mid - gx, mid, mid + gx, b.data() + row * gx, x_lo, x_hi);
     }
-    a = b;
+    a.swap(b);  // the Dirichlet edges are equal in both buffers
   }
   return a;
 }

@@ -59,8 +59,10 @@ struct ArrayDesc {
   std::string name;
   std::size_t size = 0;  // elements per rank (local instance size)
   Storage storage = Storage::kHost;
-  /// Initial value of element `idx` on `rank` (defaults to zero).
-  std::function<double(int rank, std::size_t idx)> init;
+  /// Writes `rank`'s initial local instance into `local` (all `size`
+  /// elements, zeroed beforehand). Called once per rank; empty leaves the
+  /// instance zero.
+  std::function<void(int rank, std::span<double> local)> fill;
 };
 
 // --- Subsets -------------------------------------------------------------

@@ -1,4 +1,5 @@
-// Shared integer/rounding helpers for cost arithmetic.
+// Shared integer/rounding helpers for cost arithmetic, and the residue walk
+// behind the workloads' initial conditions.
 //
 // Every layer that turns "work over capacity" into discrete units (blocks
 // per launch, nanoseconds per transfer, rounds per barrier) must round the
@@ -7,8 +8,11 @@
 // lives here.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <span>
 #include <type_traits>
 
 #include "sim/time.hpp"
@@ -48,6 +52,26 @@ template <typename T>
   if (x >= kLimit) return std::numeric_limits<Nanos>::max();
   const auto t = static_cast<Nanos>(std::ceil(x));
   return t > 0 ? t : 1;
+}
+
+/// out[i] = ((r0 + i * step) % mod) / mod for every i, with r0 < mod: the
+/// workloads' modular initial conditions, walked without a multiply or a
+/// modulo per element. The residue's period divides `mod`, so one period is
+/// computed and then copied forward.
+inline void fill_residues(std::span<double> out, std::size_t r0,
+                          std::size_t step, std::size_t mod) {
+  const std::size_t period = std::min(out.size(), mod);
+  const auto denom = static_cast<double>(mod);
+  std::size_t r = r0;
+  for (std::size_t i = 0; i < period; ++i) {
+    out[i] = static_cast<double>(r) / denom;
+    r += step;
+    if (r >= mod) r -= mod;
+  }
+  for (std::size_t i = period; i < out.size(); i += period) {
+    std::copy_n(out.begin(), std::min(period, out.size() - i),
+                out.begin() + static_cast<std::ptrdiff_t>(i));
+  }
 }
 
 }  // namespace sim

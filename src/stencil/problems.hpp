@@ -11,6 +11,8 @@
 #include <cstddef>
 #include <span>
 
+#include "sim/intmath.hpp"
+
 namespace stencil {
 
 /// 2D 5-point Jacobi: u'(x,y) = (u(x±1,y) + u(x,y±1)) / 4, Dirichlet edges.
@@ -30,6 +32,11 @@ struct Jacobi2D {
 
   [[nodiscard]] double initial(std::size_t slab_g, std::size_t i) const {
     return static_cast<double>((slab_g * 131 + i * 17) % 97) / 97.0;
+  }
+
+  /// initial(slab_g, i) for every point i of the slab.
+  void initial_plane(std::size_t slab_g, std::span<double> out) const {
+    sim::fill_residues(out, (slab_g * 131) % 97, 17, 97);
   }
 
   /// Updates interior points of slab `slab_g` in `dst` from the three source
@@ -63,6 +70,14 @@ struct Jacobi3D {
     const std::size_t y = i / nx;
     const std::size_t x = i % nx;
     return static_cast<double>((slab_g * 113 + y * 31 + x * 7) % 101) / 101.0;
+  }
+
+  /// initial(slab_g, i) for every point i of the plane, row by row.
+  void initial_plane(std::size_t slab_g, std::span<double> out) const {
+    for (std::size_t y = 0; y < ny; ++y) {
+      sim::fill_residues(out.subspan(y * nx, nx), (slab_g * 113 + y * 31) % 101,
+                         7, 101);
+    }
   }
 
   void update_slab(std::span<const double> prev, std::span<const double> self,

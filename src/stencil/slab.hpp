@@ -11,6 +11,7 @@
 // buffer. Jacobi updates read parity (t-1)%2 and write parity t%2.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -36,10 +37,9 @@ template <class Problem>
   g[0].resize(s_count * p);
   g[1].resize(s_count * p);
   for (std::size_t s = 0; s < s_count; ++s) {
-    for (std::size_t i = 0; i < p; ++i) {
-      g[0][s * p + i] = g[1][s * p + i] = prob.initial(s, i);
-    }
+    prob.initial_plane(s, std::span<double>(g[0]).subspan(s * p, p));
   }
+  g[1] = g[0];
   for (int t = 1; t <= iterations; ++t) {
     auto& src = g[(t - 1) & 1];
     auto& dst = g[t & 1];
@@ -249,19 +249,18 @@ class SlabStencil {
   }
 
  private:
+  /// Fills parity 0 plane by plane, then copies it into parity 1. Slabs
+  /// outside the domain stay zero in both (the buffers start zeroed).
   void init() {
     for (int pe = 0; pe < n_pes(); ++pe) {
       for (std::size_t r = 0; r <= rows(pe) + 1; ++r) {
         const std::ptrdiff_t sg = static_cast<std::ptrdiff_t>(offset(pe)) +
                                   static_cast<std::ptrdiff_t>(r) - 1;
         if (sg < 0 || sg >= static_cast<std::ptrdiff_t>(prob_.slabs())) continue;
-        for (int parity = 0; parity < 2; ++parity) {
-          auto s = slab(pe, parity, r);
-          for (std::size_t i = 0; i < plane(); ++i) {
-            s[i] = prob_.initial(static_cast<std::size_t>(sg), i);
-          }
-        }
+        prob_.initial_plane(static_cast<std::size_t>(sg), slab(pe, 0, r));
       }
+      const std::span<const double> even = buffer(0).on(pe);
+      std::copy(even.begin(), even.end(), buffer(1).on(pe).begin());
     }
   }
 

@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "dacelite/exec.hpp"
 #include "dacelite/frontend.hpp"
 #include "dacelite/ir.hpp"
 #include "dacelite/transforms.hpp"
+#include "fnv_digest.hpp"
 #include "hostmpi/comm.hpp"
 #include "vgpu/machine.hpp"
 #include "vshmem/world.hpp"
@@ -354,8 +358,10 @@ TEST(Transforms, MapFusionPreservesSemanticsAndSavesLaunches) {
     Sdfg s;
     s.name = "pipeline";
     s.default_iterations = 3;
-    auto init = [](int, std::size_t i) { return static_cast<double>(i); };
-    s.add_array(ArrayDesc{"A", 8, Storage::kHost, init});
+    auto fill = [](int, std::span<double> a) {
+      for (std::size_t i = 0; i < a.size(); ++i) a[i] = static_cast<double>(i);
+    };
+    s.add_array(ArrayDesc{"A", 8, Storage::kHost, fill});
     s.add_array(ArrayDesc{"tmp", 8, Storage::kHost, {}});
     s.add_array(ArrayDesc{"B", 8, Storage::kHost, {}});
     State& st = s.add_body_state("stage");
@@ -549,6 +555,131 @@ TEST(Determinism, GeneratedProgramsAreReproducible) {
     return r.metrics.total;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// --- Numerics pins ---------------------------------------------------------
+// The map bodies and the serial references share their row-step helpers, so
+// `gather == reference` alone cannot catch a bounds slip made in both. These
+// pin the bit patterns of both to digests captured from the per-element
+// implementation, and check the references against a naive per-element
+// stencil written here.
+
+std::uint64_t digest_of(const std::vector<double>& xs) {
+  testutil::Digest d;
+  d.add(xs);
+  return d.h;
+}
+
+std::vector<double> naive_jacobi1d(std::size_t n, int iterations) {
+  std::vector<double> a(n);
+  for (std::size_t g = 0; g < n; ++g) {
+    a[g] = static_cast<double>((g * 37 + 11) % 101) / 101.0;
+  }
+  for (int t = 0; t < iterations; ++t) {
+    std::vector<double> b = a;
+    for (std::size_t g = 0; g < n; ++g) {
+      if (g == 0 || g + 1 >= n) continue;
+      b[g] = (1.0 / 3.0) * (a[g - 1] + a[g] + a[g + 1]);
+    }
+    a = b;
+  }
+  return a;
+}
+
+std::vector<double> naive_jacobi2d(std::size_t gx, std::size_t gy,
+                                   int iterations) {
+  std::vector<double> a(gx * gy);
+  for (std::size_t y = 0; y < gy; ++y) {
+    for (std::size_t x = 0; x < gx; ++x) {
+      a[y * gx + x] = static_cast<double>((y * 131 + x * 17) % 97) / 97.0;
+    }
+  }
+  for (int t = 0; t < iterations; ++t) {
+    std::vector<double> b = a;
+    for (std::size_t y = 0; y < gy; ++y) {
+      for (std::size_t x = 0; x < gx; ++x) {
+        if (y == 0 || x == 0 || y + 1 >= gy || x + 1 >= gx) continue;
+        const std::size_t i = y * gx + x;
+        b[i] = 0.25 * (a[i - gx] + a[i + gx] + a[i - 1] + a[i + 1]);
+      }
+    }
+    a = b;
+  }
+  return a;
+}
+
+struct RefPin1d {
+  std::size_t n;
+  int iterations;
+  std::uint64_t digest;
+};
+
+TEST(NumericsPin, Jacobi1dReferenceMatchesPinnedBits) {
+  const RefPin1d pins[] = {
+      {2, 3, 0xc7644aad92bdeaecull},     {3, 1, 0xacf52cb00abdaa2ull},
+      {16, 7, 0x9739ff1b99d974dfull},    {97, 4, 0xe23763d99397d856ull},
+      {1000, 9, 0x6b6c0b2cb6077e48ull},  {4096, 2, 0x2fb43a6b55d18d3eull},
+  };
+  for (const RefPin1d& p : pins) {
+    const auto ref = dacelite::make_jacobi1d(p.n, 1, p.iterations)
+                         .reference(p.iterations);
+    EXPECT_EQ(ref, naive_jacobi1d(p.n, p.iterations)) << "n=" << p.n;
+    EXPECT_EQ(digest_of(ref), p.digest)
+        << "n=" << p.n << " digest 0x" << std::hex << digest_of(ref);
+  }
+}
+
+struct RefPin2d {
+  std::size_t gx, gy;
+  int iterations;
+  std::uint64_t digest;
+};
+
+TEST(NumericsPin, Jacobi2dReferenceMatchesPinnedBits) {
+  const RefPin2d pins[] = {
+      {3, 3, 2, 0x3b120a47dad4232eull},    {4, 7, 5, 0xb8b50e960c592ad1ull},
+      {24, 16, 6, 0x451226a5b0deb419ull},  {37, 29, 3, 0x7283ac1ceae94cacull},
+      {64, 48, 10, 0x771a7fa29c6fe0b4ull}, {1, 5, 2, 0x6a063b9d1cbcf26eull},
+  };
+  for (const RefPin2d& p : pins) {
+    const auto ref = dacelite::make_jacobi2d(p.gx, p.gy, 1, p.iterations)
+                         .reference(p.iterations);
+    EXPECT_EQ(ref, naive_jacobi2d(p.gx, p.gy, p.iterations))
+        << p.gx << "x" << p.gy;
+    EXPECT_EQ(digest_of(ref), p.digest) << p.gx << "x" << p.gy << " digest 0x"
+                                        << std::hex << digest_of(ref);
+  }
+}
+
+// gather() after the persistent backend, for every process-grid width of a
+// 4-rank 2D run and for 1, 2 and 4 ranks of a 1D run: one pinned digest per
+// dimension, since the decomposition must not change a bit.
+TEST(NumericsPin, PersistentGatherMatchesPinnedBits) {
+  const int iters = 7;
+  for (const int px : {1, 2, 4}) {
+    auto prog = dacelite::make_jacobi2d(48, 40, 4, iters, px);
+    dacelite::to_cpu_free(prog.sdfg);
+    vgpu::Machine m(hgx(4));
+    vshmem::World w(m);
+    ProgramData data(w, prog.sdfg, true);
+    dacelite::execute_persistent(m, w, data, prog.sdfg, ExecOptions{});
+    const auto out = prog.gather(data);
+    EXPECT_EQ(out, naive_jacobi2d(48, 40, iters)) << "px=" << px;
+    EXPECT_EQ(digest_of(out), 0x3c44c5daab333cd4ull)
+        << "px=" << px << " digest 0x" << std::hex << digest_of(out);
+  }
+  for (const int ranks : {1, 2, 4}) {
+    auto prog = dacelite::make_jacobi1d(200, ranks, iters);
+    dacelite::to_cpu_free(prog.sdfg);
+    vgpu::Machine m(hgx(ranks));
+    vshmem::World w(m);
+    ProgramData data(w, prog.sdfg, true);
+    dacelite::execute_persistent(m, w, data, prog.sdfg, ExecOptions{});
+    const auto out = prog.gather(data);
+    EXPECT_EQ(out, naive_jacobi1d(200, iters)) << "ranks=" << ranks;
+    EXPECT_EQ(digest_of(out), 0x11dd8e99be98ec43ull)
+        << "ranks=" << ranks << " digest 0x" << std::hex << digest_of(out);
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "exec/comm.hpp"
+#include "fnv_digest.hpp"
 #include "sim/observe.hpp"
 #include "sim/rng.hpp"
 #include "topo/ledger.hpp"
@@ -287,21 +288,7 @@ TEST(TopoObserver, ExclusiveLanesReportQueueing) {
 // the map-based LinkLedger::recompute; the scratch-based one must reproduce
 // every rate and finish time bitwise.
 
-// FNV-1a over a stream of 64-bit words.
-struct Digest {
-  std::uint64_t h = 1469598103934665603ull;
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  void add(std::string_view s) {
-    for (char c : s) {
-      add(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
-    }
-  }
-};
+using testutil::Digest;
 
 // Counts every link event into a digest, with the concurrency it reported.
 class LinkDigest : public sim::Observer {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +23,8 @@
 #include "dacelite/frontend.hpp"
 #include "dacelite/pass.hpp"
 #include "exec/policy.hpp"
+#include "fnv_digest.hpp"
+#include "sweep/emit.hpp"
 #include "tune/rollout.hpp"
 #include "tune/space.hpp"
 #include "tune/tuner.hpp"
@@ -376,6 +379,72 @@ TEST(ExpansionAudit, ForcedExpansionsStayRaceFree) {
     dacelite::execute_persistent(m, w, data, prog.sdfg, opt);
     EXPECT_EQ(det.verdict(), check::Verdict::kPass)
         << name(choice) << ": " << det.report_text();
+  }
+}
+
+// --- tuner output pin -----------------------------------------------------------
+
+// Digest of everything a checker-on tune() reports apart from host wall time:
+// the validation records' cpufree-bench-v1 JSON, then every ranked
+// candidate's prediction, measurement, verification and checker verdict, and
+// the winner. Pinned to values captured from the per-element kernel bodies
+// and the map-based shadow table, so a numerics or checker slip that changes
+// any candidate's outcome fails here.
+std::uint64_t tune_digest(const tune::TuneReport& rep) {
+  std::vector<sweep::RunRecord> records = rep.records;
+  for (sweep::RunRecord& r : records) r.wall_ms = 0.0;
+  testutil::Digest d;
+  d.add(sweep::bench_json("tune_pin", 1, records));
+  auto add_result = [&d](const tune::CandidateResult& c) {
+    d.add(c.candidate.id());
+    d.add(static_cast<std::uint64_t>(c.predicted));
+    d.add(static_cast<std::uint64_t>(c.measured));
+    d.add(static_cast<std::uint64_t>(c.validated) << 2 |
+          static_cast<std::uint64_t>(c.verified) << 1 |
+          static_cast<std::uint64_t>(c.check_clean));
+  };
+  add_result(rep.baseline);
+  for (const tune::CandidateResult& c : rep.ranked) add_result(c);
+  const tune::CandidateResult* best = rep.best();
+  d.add(best != nullptr ? best->candidate.id() : std::string("none"));
+  return d.h;
+}
+
+struct TunePin {
+  bool pcie;
+  tune::WorkloadKind kind;
+  std::uint64_t digest;
+};
+
+TEST(TunePin, CheckedReportsMatchPinnedDigests) {
+  const TunePin pins[] = {
+      {false, tune::WorkloadKind::kJacobi1D, 0x2f9f9ca205fec600ull},
+      {false, tune::WorkloadKind::kJacobi2D, 0x5cc84a9f61d5c5f2ull},
+      {true, tune::WorkloadKind::kJacobi1D, 0x5fe53e5c1a1d3edcull},
+      {true, tune::WorkloadKind::kJacobi2D, 0xfaf0874eed7a724cull},
+  };
+  for (const TunePin& p : pins) {
+    tune::Workload w;
+    w.kind = p.kind;
+    if (p.kind == tune::WorkloadKind::kJacobi1D) {
+      w.gx = 4096;
+    } else {
+      w.gx = 64;
+      w.gy = 48;
+    }
+    w.ranks = 4;
+    w.iterations = 5;
+    const vgpu::MachineSpec spec = p.pcie ? vgpu::MachineSpec::dgx_pcie(4)
+                                          : vgpu::MachineSpec::hgx_a100(4);
+    tune::TuneOptions opt;  // checker on, top-3, full space
+    opt.sweep_threads = 1;
+    const tune::TuneReport rep = tune::tune(w, spec, opt);
+    const tune::CandidateResult* best = rep.best();
+    ASSERT_NE(best, nullptr) << w.label();
+    EXPECT_TRUE(best->verified && best->check_clean) << w.label();
+    EXPECT_EQ(tune_digest(rep), p.digest)
+        << (p.pcie ? "dgx_pcie/" : "hgx/") << w.label() << " digest 0x"
+        << std::hex << tune_digest(rep);
   }
 }
 
