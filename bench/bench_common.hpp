@@ -223,7 +223,7 @@ inline bool parse_double_strict(const std::string& v, double& out) {
   return true;
 }
 
-/// Full-token int parse for flag operands ("--pdes-threads 4x" is an error,
+/// Full-token int parse for flag operands ("--tune-budget 4x" is an error,
 /// not 4).
 inline bool parse_int_strict(const std::string& v, int& out) {
   std::uint64_t u = 0;
@@ -270,8 +270,7 @@ inline void parse_kv_flag(
 /// usage message on malformed input (bench flags fail fast, they never
 /// guess). `classes=` restricts injection to the named window classes
 /// (link, flap, stall, signal_lost, signal_delay, put_drop, put_dup, or
-/// `all`); link/stall-only masks are exactly the ones the sharded engine
-/// can run without lockstep rounds.
+/// `all`).
 inline fault::Config parse_faults(std::string_view s) {
   fault::Config cfg;
   parse_kv_flag(
@@ -387,9 +386,6 @@ struct Args {
   /// fail-stop layered onto `faults` (repeatable). ckpt lands here; only
   /// recovery-capable drivers consume it.
   int hard_checkpoint_every = 0;
-  /// --pdes-threads N: worker threads for the intra-run sharded event
-  /// engine. 1 (default) is the serial engine, byte-for-byte.
-  int pdes_threads = 1;
   /// --tune: skip the sweep; run the recipe autotuner (src/tune/) on the
   /// driver's tunable workloads and report predicted vs measured times.
   bool tune = false;
@@ -404,16 +400,6 @@ struct Args {
         a.repeats = std::atoi(argv[++i]);
       } else if (s == "--threads" && i + 1 < argc) {
         a.threads = std::atoi(argv[++i]);
-      } else if (s == "--pdes-threads" && i + 1 < argc) {
-        const std::string v = argv[++i];
-        if (!parse_int_strict(v, a.pdes_threads) || a.pdes_threads < 1) {
-          flag_usage_error("--pdes-threads", "an integer >= 1", v);
-        }
-      } else if (s.rfind("--pdes-threads=", 0) == 0) {
-        const std::string v(s.substr(sizeof("--pdes-threads=") - 1));
-        if (!parse_int_strict(v, a.pdes_threads) || a.pdes_threads < 1) {
-          flag_usage_error("--pdes-threads", "an integer >= 1", v);
-        }
       } else if (s == "--quiet") {
         a.progress = false;
       } else if (s == "--check") {
@@ -459,12 +445,11 @@ struct Args {
     return o;
   }
 
-  /// Applies the --faults and --pdes-threads configuration to a machine
-  /// spec (identity when neither flag was given). Drivers route every spec
-  /// they sweep through this.
+  /// Applies the --faults configuration to a machine spec (identity when
+  /// the flag was not given). Drivers route every spec they sweep through
+  /// this.
   [[nodiscard]] vgpu::MachineSpec with_faults(vgpu::MachineSpec spec) const {
     spec.faults = faults;
-    spec.pdes_threads = pdes_threads;
     return spec;
   }
 };

@@ -93,7 +93,6 @@ int run_tune(const bench::Args& args) {
   topt.top_k = 3;
   topt.max_candidates = args.tune_budget;
   topt.sweep_threads = args.threads;
-  topt.pdes_threads = args.pdes_threads;
   topt.progress = args.progress;
   topt.id_prefix = "jacobi2d/";
   topt.base_params = {{"system", "jacobi2d"}};

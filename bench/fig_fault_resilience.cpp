@@ -62,13 +62,10 @@ fault::Config make_faults(std::uint64_t seed, double rate,
 
 /// One case end to end. A deadlock (expected for no-retry at nonzero rate)
 /// is caught and reported as completed=0; everything else must verify.
-int g_pdes_threads = 1;
-
 sweep::RunResult run_case(const Workload& w, const fault::Config& faults,
                           sim::Observer* obs = nullptr) {
   vgpu::MachineSpec spec = vgpu::MachineSpec::hgx_a100(kGpus);
   spec.faults = faults;
-  spec.pdes_threads = g_pdes_threads;
   sweep::RunResult res;
   res.spec = spec;
   bool completed = false;
@@ -127,7 +124,6 @@ int main(int argc, char** argv) {
                           "hgx_a100(4)");
     return 0;
   }
-  g_pdes_threads = args.pdes_threads;
   const std::uint64_t seed = args.faults.seed;
   if (args.check) {
     // Recovering configurations only: a no-retry case at nonzero rate hangs

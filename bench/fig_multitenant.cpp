@@ -214,8 +214,6 @@ std::vector<serve::JobSpec> make_fleet(const MixDef& mix, int tenants,
   return jobs;
 }
 
-int g_pdes_threads = 1;
-
 /// One cell end to end: serve the fleet on a fresh shared machine and fold
 /// the fleet metrics into the sweep record. The full per-job report is
 /// written once into `report_out` (pre-sized slot, so concurrent cells
@@ -289,7 +287,6 @@ double job_imbalance(const serve::JobSpec& s) {
 int main(int argc, char** argv) {
   const bench::Args args = bench::Args::parse(argc, argv);
   const ServeArgs sargs = ServeArgs::parse(argc, argv);
-  g_pdes_threads = args.pdes_threads;
   if (args.topo) {
     for (const MachineDef& m : kMachines) {
       bench::print_topology(m.make(), m.key);

@@ -101,7 +101,7 @@ class IterationProtocol {
     const fault::Schedule& faults = world_->machine().faults();
     // Only the signal-coupled classes can lose or reorder updates; window
     // masks (link/flap/stall) merely stretch time, so their waits stay
-    // plain — and shadow-free, which lets those runs shard at full width.
+    // plain and shadow-free.
     if (!faults.signal_coupled() ||
         faults.config().resilience == fault::Resilience::kNone) {
       co_await world_->signal_wait_until(ctx, *signals_, flag, sim::Cmp::kGe,
@@ -255,8 +255,7 @@ class IterationProtocol {
                   std::function<void()> redeliver) {
     const fault::Schedule& faults = world_->machine().faults();
     // Shadows are recovery state for the signal-coupled classes only;
-    // window and hard masks never re-pull, so they skip the (cross-shard)
-    // write entirely.
+    // window and hard masks never re-pull, so they skip the write entirely.
     if (!faults.signal_coupled() ||
         faults.config().resilience == fault::Resilience::kNone) {
       return;

@@ -55,8 +55,8 @@ struct IterationJoin {
 /// the PE's owned state at the iteration join — after every group of the PE
 /// committed iteration t and before any t+1 write can touch the captured
 /// parity (double buffering isolates it) — so the bytes are a pure function
-/// of (workload, t) and identical across --pdes-threads / --threads and
-/// reruns. The capture's DRAM drain is charged to simulated time.
+/// of (workload, t) and identical across --threads and reruns. The
+/// capture's DRAM drain is charged to simulated time.
 ///
 /// A snapshot at iteration t is usable for restart only once EVERY PE
 /// committed its slice; last_complete() reports the newest such t.

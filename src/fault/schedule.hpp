@@ -25,17 +25,6 @@
 //      water-filling) never double-rolls.
 //   4. The observer only *sees* injections (on_fault); it is never
 //      consulted, so attaching check::Detector cannot change the schedule.
-//   5. Under the sharded engine (--pdes-threads > 1) consult counters stay
-//      pure: a Machine whose enabled class mask touches the signal shadows
-//      (signal/put classes), or whose config lists hard faults, demands
-//      lockstep rounds (Engine::require_lockstep), so every consult happens
-//      in global (time, shard, seq) order exactly as in the serial engine —
-//      the same seed produces the same injections for every thread count.
-//      Shadows written at issue time and read by remote watchdogs — and the
-//      dead-device set read at delivery time — are zero-latency cross-shard
-//      couplings, which is why wide windows are off the table for them.
-//      Window-only masks (link/flap/stall) are pure functions of simulated
-//      time and shard freely.
 //
 // Hard (fail-stop) faults are configured as an explicit list (Config::hard),
 // not as a rate: each entry kills one device after it completes a given
@@ -108,10 +97,9 @@ enum : std::uint32_t {
   /// into by mask so a rate-only config can never kill hardware.
   kClassDeviceDead = 1u << 7,   ///< device fail-stop (Config::hard entries)
   kClassLinkDead = 1u << 8,     ///< link fail-stop (Config::hard entries)
-  /// Classes whose injection or recovery reads the SignalShadow plane (a
-  /// zero-latency cross-shard coupling): these demand lockstep rounds under
-  /// --pdes-threads. Window-shaped classes (link/flap/stall) are pure in
-  /// simulated time and do not.
+  /// Classes whose injection or recovery reads the SignalShadow plane.
+  /// Window-shaped classes (link/flap/stall) are pure in simulated time and
+  /// do not.
   kClassSignalCoupled =
       kClassSignalLost | kClassSignalDelay | kClassPutDrop | kClassPutDup,
 };
@@ -202,9 +190,8 @@ class Schedule {
     return enabled() && (cfg_.classes & c) != 0;
   }
 
-  /// True iff the transient class mask touches the SignalShadow plane (the
-  /// zero-latency coupling that demands lockstep under --pdes-threads).
-  /// Window-only masks (link/flap/stall) return false and shard freely.
+  /// True iff the transient class mask touches the SignalShadow plane.
+  /// Window-only masks (link/flap/stall) return false and keep no shadows.
   [[nodiscard]] bool signal_coupled() const noexcept {
     return has_class(kClassSignalCoupled);
   }

@@ -13,8 +13,8 @@
 //
 // Everything is deterministic: arrivals come from the counter-based RNG,
 // admission is FIFO with no bypass (head-of-line blocking is the price of
-// reproducible queueing), and the engine's data-coupled rounds make per-job
-// metrics bit-identical for any --pdes-threads.
+// reproducible queueing), and the serial engine makes per-job metrics
+// bit-identical across reruns.
 #pragma once
 
 #include <vector>

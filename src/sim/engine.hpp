@@ -4,20 +4,12 @@
 // Sequence numbers break timestamp ties in FIFO order, so simulations are
 // exactly reproducible run-to-run. All simulated concurrency (GPU streams,
 // persistent kernels, host threads, MPI ranks) is expressed as coroutines
-// resumed by this engine.
-//
-// Two execution modes share the same API:
-//
-//  * Serial (default): one queue, one clock — the historical loop, unchanged
-//    event for event.
-//  * Sharded (enable_sharding): events are partitioned into per-shard
-//    sub-engines advanced in parallel under conservative lookahead windows
-//    (see sim/pdes.hpp and DESIGN.md §11). `--pdes-threads=1` never enables
-//    sharding, so the serial loop stays byte-for-byte identical to history.
+// resumed by this engine. One engine runs on one thread (DESIGN.md §11
+// says why there is no parallel engine); the sweep executor parallelises
+// across whole engines instead.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -40,11 +32,6 @@ class JobMap;
 class Engine;
 class Flag;
 
-namespace pdes {
-class Core;
-struct ShardPlan;
-}  // namespace pdes
-
 /// Thrown by Engine::run() when the event queue drains while spawned root
 /// tasks are still suspended (e.g. waiting on a flag nobody will ever set).
 /// When the synchronization layers registered their open waits (see
@@ -63,19 +50,14 @@ class DeadlockError : public std::runtime_error {
 };
 
 /// Shared state behind one scheduled callback. The queue entry and the
-/// caller's TimerToken both point here; `alive` arbitrates cancel vs fire
-/// (exactly one side wins the exchange), and the callback payload is
-/// released by whichever side wins — a cancelled timer drops its captured
-/// closure immediately instead of pinning it until the entry is popped.
+/// caller's TimerToken both point here; `alive` is cleared by whichever of
+/// cancel and fire comes first, and the callback payload is released then —
+/// a cancelled timer drops its captured closure immediately instead of
+/// pinning it until the entry is popped.
 struct TimerState {
-  std::atomic<bool> alive{true};
+  bool alive = true;
   std::function<void()> fn;
   Engine* owner = nullptr;
-  /// Queue the entry lives on: shard id when sharded, kSerialHome for the
-  /// serial queue, kCoordinatorHome for the sharded coordinator queue.
-  int home = -3;
-  static constexpr int kSerialHome = -2;
-  static constexpr int kCoordinatorHome = -1;
 };
 
 /// Cancellation handle for Engine::schedule_callback. Cancelling keeps the
@@ -85,22 +67,16 @@ struct TimerState {
 /// time), and the dead entry is accounted so the engine can compact bloated
 /// queues and never blames a cancelled timer in a hang report.
 /// Default-constructed tokens are inert. Cancel-after-fire is a no-op.
-/// Cancelling from a different shard than the one the timer lives on takes
-/// effect immediately (atomic), but is only deterministic when cancel and
-/// expiry are at least one lookahead window apart — every in-tree user
-/// cancels from the timer's own shard.
 class TimerToken {
  public:
   TimerToken() = default;
-  void cancel() noexcept;  // defined after Engine (notifies the home queue)
+  void cancel() noexcept;  // defined after Engine (notifies its queue)
   [[nodiscard]] bool armed() const noexcept {
-    return state_ != nullptr &&
-           state_->alive.load(std::memory_order_acquire);
+    return state_ != nullptr && state_->alive;
   }
 
  private:
   friend class Engine;
-  friend class pdes::Core;
   explicit TimerToken(std::shared_ptr<TimerState> s) : state_(std::move(s)) {}
   std::shared_ptr<TimerState> state_;
 };
@@ -145,10 +121,9 @@ class EventQueue {
   const Event* peek_live() {
     while (!heap_.empty()) {
       const Event& top = heap_.front();
-      if (top.timer != nullptr &&
-          !top.timer->alive.load(std::memory_order_acquire)) {
+      if (top.timer != nullptr && !top.timer->alive) {
         (void)pop();
-        dead_.fetch_sub(1, std::memory_order_relaxed);
+        --dead_;
         continue;
       }
       return &top;
@@ -157,62 +132,43 @@ class EventQueue {
   }
 
   /// A timer living in this queue was cancelled (called from TimerToken).
-  void note_cancel() noexcept { dead_.fetch_add(1, std::memory_order_relaxed); }
+  void note_cancel() noexcept { ++dead_; }
 
-  /// The executor popped an entry whose cancel landed between peek and pop
-  /// (possible only under sharding, where cancel may come from another
-  /// worker) — rebalance the dead-entry count.
-  void note_popped_dead() noexcept {
-    dead_.fetch_sub(1, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::size_t dead_count() const noexcept {
-    return dead_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::size_t dead_count() const noexcept { return dead_; }
 
   /// Removes all cancelled entries when they dominate the queue, so a run
   /// that parks many timers (ledger reschedules, watchdogs) keeps its queue
   /// proportional to live work. Heap order is rebuilt; (at, seq) pop order
   /// is unaffected.
   void compact_if_bloated() {
-    const std::size_t dead = dead_.load(std::memory_order_relaxed);
-    if (dead < 64 || dead * 2 < heap_.size()) return;
+    if (dead_ < 64 || dead_ * 2 < heap_.size()) return;
     std::erase_if(heap_, [](const Event& e) {
-      return e.timer != nullptr &&
-             !e.timer->alive.load(std::memory_order_acquire);
+      return e.timer != nullptr && !e.timer->alive;
     });
     std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    dead_.store(0, std::memory_order_relaxed);
+    dead_ = 0;
   }
 
  private:
   std::vector<Event> heap_;
-  /// Cancelled entries still in the heap. Atomic: under sharding a token
-  /// may be cancelled from another worker thread.
-  std::atomic<std::size_t> dead_{0};
+  /// Cancelled entries still in the heap.
+  std::size_t dead_ = 0;
 };
 
 class Engine {
  public:
-  Engine();  // out of line: members need pdes::Core complete
+  Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   ~Engine();
 
-  /// Current simulated time (of the calling execution context when sharded).
-  [[nodiscard]] Nanos now() const noexcept {
-    return core_ != nullptr ? sharded_now() : now_;
-  }
+  /// Current simulated time.
+  [[nodiscard]] Nanos now() const noexcept { return now_; }
 
   /// Schedules a raw coroutine resumption `delay` ns from now.
-  void schedule(std::coroutine_handle<> h, Nanos delay = 0);
-
-  /// Schedules a resumption at the current instant on the queue that parked
-  /// it (`home` from context_shard() at park time). The wake primitive for
-  /// synchronization objects whose setter may run outside the waiter's
-  /// shard (ledger completion flags, global barriers). Serial engines
-  /// ignore `home`.
-  void schedule_to(int home, std::coroutine_handle<> h);
+  void schedule(std::coroutine_handle<> h, Nanos delay = 0) {
+    queue_.push(Event{now_ + delay, next_seq_++, h, nullptr});
+  }
 
   /// Schedules a plain callback `delay` ns from now and returns a token that
   /// can cancel it. Cancelled entries are dropped when popped without
@@ -220,13 +176,11 @@ class Engine {
   /// link ledger moves its next-completion wake both earlier and later as
   /// transfers start and finish). Callbacks run at (time, seq) order like
   /// coroutine resumptions and may schedule further work, but must not call
-  /// Engine::run(). When sharded the timer lives on the calling shard's
-  /// queue; its effects must stay on that shard.
+  /// Engine::run().
   TimerToken schedule_callback(std::function<void()> fn, Nanos delay);
 
   /// Detaches `t` as a root process; it starts at the current simulated time
-  /// (after already-queued events with the same timestamp). When sharded the
-  /// root joins the calling context's shard (shard 0 before run()).
+  /// (after already-queued events with the same timestamp).
   void spawn(Task t);
 
   /// Awaitable that suspends the caller for `d` simulated nanoseconds.
@@ -248,97 +202,16 @@ class Engine {
   void run();
 
   /// Number of spawned root tasks that have not yet completed.
-  [[nodiscard]] std::size_t live_tasks() const noexcept;
+  [[nodiscard]] std::size_t live_tasks() const noexcept { return live_roots_; }
 
-  [[nodiscard]] Trace& trace() noexcept;
-  [[nodiscard]] const Trace& trace() const noexcept;
+  [[nodiscard]] Trace& trace() noexcept { return trace_; }
+  [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
 
   /// Attaches (or detaches, with nullptr) an execution observer. The
   /// observer receives the events published by the vgpu/vshmem/exec layers;
-  /// it never affects simulated time. Observers are single-threaded: a
-  /// sharded engine with an observer attached runs its rounds on one worker
-  /// (see force_serial_rounds).
+  /// it never affects simulated time.
   void set_observer(Observer* observer) noexcept { observer_ = observer; }
   [[nodiscard]] Observer* observer() const noexcept { return observer_; }
-
-  // --- sharded execution (sim/pdes.hpp) ------------------------------------
-
-  /// Switches this engine to sharded (parallel) execution. Must be called
-  /// before the first spawn/schedule. `lookahead` is the conservative window
-  /// width: the minimum simulated latency of any cross-shard interaction,
-  /// i.e. no event executed on shard A at time t may require an effect on
-  /// shard B before t + lookahead. Callers derive it from the topology's
-  /// minimum link latency. `threads` is the worker cap; shard count comes
-  /// from the plan.
-  void enable_sharding(const pdes::ShardPlan& plan, int threads,
-                       Nanos lookahead);
-  [[nodiscard]] bool sharded() const noexcept { return core_ != nullptr; }
-
-  /// Collapses a sharded engine's rounds to a single worker while keeping
-  /// the sharded round algorithm (and therefore its deterministic message
-  /// order) — used when a layer with zero-lookahead cross-shard coupling is
-  /// active: an attached observer, an enabled fault schedule (resilience
-  /// protocols read sender-side shadows), functional-payload delivery, or
-  /// hostmpi mailbox matching. Results are then identical for every
-  /// --pdes-threads value by construction. No-op on a serial engine.
-  void force_serial_rounds() noexcept;
-
-  /// Declares (or withdraws) a zero-lookahead data coupling between shards:
-  /// delivery callbacks copy payload bytes another shard may concurrently
-  /// mutate (vshmem functional mode). While set, rounds run on one worker —
-  /// same algorithm, same results. Toggleable, unlike force_serial_rounds
-  /// (benchmarks switch functional mode off for timed runs). No-op when
-  /// serial.
-  void set_data_coupled(bool on) noexcept;
-
-  /// Strongest fallback: single-worker rounds with one-nanosecond windows,
-  /// for layers whose cross-shard coupling has zero simulated latency at
-  /// unpredictable instants (hostmpi mailbox matching). No-op when serial.
-  void require_lockstep() noexcept;
-
-  /// Shard that `device`'s events run on (kSerialHome when not sharded).
-  [[nodiscard]] int shard_of_device(int device) const noexcept;
-
-  /// Shard of the calling execution context (TimerState::kCoordinatorHome
-  /// from coordinator context, kSerialHome when not sharded).
-  [[nodiscard]] int context_shard() const noexcept;
-
-  /// Spawns `t` as a root on a specific shard (serial: plain spawn).
-  void spawn_on(int shard, Task t);
-
-  /// Delivers `fn` on `shard` at absolute time `at`. This is the timestamped
-  /// inter-shard message of DESIGN §11: messages are merged into the target
-  /// shard at window boundaries in (time, source shard, source sequence)
-  /// order. `at` must be at least one lookahead window ahead of the calling
-  /// shard's clock; violations throw (they would be causality bugs).
-  /// On a serial engine this is schedule_callback at (at - now), dropped-
-  /// token semantics.
-  void schedule_cross(int shard, Nanos at, std::function<void()> fn);
-
-  /// schedule_callback on the coordinator queue: for timers whose callback
-  /// touches cross-shard state (the link ledger's completion wake). The
-  /// coordinator runs between windows, and pending coordinator timers cap
-  /// the window end, so such callbacks are never late. Serial: plain
-  /// schedule_callback.
-  TimerToken schedule_callback_global(std::function<void()> fn, Nanos delay);
-
-  /// Runs `fn` in the next serialized phase at the caller's current time
-  /// (immediately on a serial engine). Global ops across shards execute in
-  /// (time, source shard, source sequence) order; the posting shard stops
-  /// draining its window so the op may wake it at the posting instant.
-  void post_global(std::function<void()> fn);
-
-  /// `co_await engine.global_gate()` — suspends the calling coroutine and
-  /// resumes it in the serialized phase (same simulated instant, coordinator
-  /// thread), where it may freely touch cross-shard state until its next
-  /// suspension. No-op on a serial engine.
-  struct GateAwaiter {
-    Engine& engine;
-    bool await_ready() const noexcept { return !engine.sharded(); }
-    void await_suspend(std::coroutine_handle<> h) { engine.post_gate(h); }
-    void await_resume() const noexcept {}
-  };
-  [[nodiscard]] GateAwaiter global_gate() { return GateAwaiter{*this}; }
 
   // --- open-wait registry (hang attribution without a checker) -------------
   //
@@ -384,8 +257,7 @@ class Engine {
   /// Multi-line description of every open registered wait ("" when none).
   [[nodiscard]] std::string describe_open_waits() const;
 
-  /// Renders one wait site in the hang-report format (shared with the
-  /// sharded core's per-shard registries).
+  /// Renders one wait site in the hang-report format.
   [[nodiscard]] std::string describe_wait_site(const WaitSite& site) const;
 
   // --- incident log (fail-stop attribution) --------------------------------
@@ -398,7 +270,7 @@ class Engine {
   // scheduling, and an empty log leaves every report byte-identical.
 
   /// Appends one line to the incident log (chronological order — appends
-  /// happen in deterministic event order, lockstep when sharded).
+  /// happen in deterministic event order).
   void note_incident(std::string line) {
     incidents_.push_back(std::move(line));
   }
@@ -411,11 +283,8 @@ class Engine {
 
  private:
   friend struct Task::FinalAwaiter;
-  friend class pdes::Core;
+  friend class TimerToken;
   void on_root_done(Task::Handle h);
-
-  [[nodiscard]] Nanos sharded_now() const noexcept;
-  void post_gate(std::coroutine_handle<> h);
 
   EventQueue queue_;
   std::vector<Task::Handle> roots_;
@@ -428,30 +297,21 @@ class Engine {
   std::uint64_t next_seq_ = 0;
   std::size_t live_roots_ = 0;
 
-  std::unique_ptr<pdes::Core> core_;
-
   std::map<WaitToken, WaitSite> open_waits_;
   std::map<const void*, std::string> flag_names_;
   std::uint64_t next_wait_token_ = 0;
   std::vector<std::string> incidents_;
 
   void reap_finished();
-  /// Routes a cancel notification to the queue holding the timer.
-  void on_timer_cancelled(int home) noexcept;
-  friend class TimerToken;
 };
 
 inline void TimerToken::cancel() noexcept {
-  if (state_ == nullptr) return;
-  // Exactly one of {cancel, fire} wins the exchange; the loser is a no-op.
-  // Winning cancel releases the captured closure right here — the queue
+  if (state_ == nullptr || !state_->alive) return;
+  // A live cancel releases the captured closure right here — the queue
   // entry it leaves behind is an empty husk dropped on pop or compaction.
-  if (state_->alive.exchange(false, std::memory_order_acq_rel)) {
-    state_->fn = nullptr;
-    if (state_->owner != nullptr) {
-      state_->owner->on_timer_cancelled(state_->home);
-    }
-  }
+  state_->alive = false;
+  state_->fn = nullptr;
+  if (state_->owner != nullptr) state_->owner->queue_.note_cancel();
 }
 
 }  // namespace sim

@@ -102,17 +102,13 @@ class Flag {
     std::int64_t rhs;
     std::coroutine_handle<> handle;
     std::uint64_t id = 0;
-    /// Shard the waiter parked from (context_shard() at park time): the
-    /// setter may run outside the waiter's shard (e.g. the link ledger's
-    /// completion timer on the coordinator), so wakes are routed home.
-    int home = 0;
   };
 
   /// Parks a waiter and returns its withdrawal id (timed waits withdraw on
   /// watchdog expiry).
   std::uint64_t park(Cmp cmp, std::int64_t rhs, std::coroutine_handle<> h) {
     const std::uint64_t id = ++next_waiter_id_;
-    waiters_.push_back(Waiter{cmp, rhs, h, id, engine_->context_shard()});
+    waiters_.push_back(Waiter{cmp, rhs, h, id});
     return id;
   }
 
@@ -128,10 +124,10 @@ class Flag {
 
   void wake_satisfied() {
     // Wake in arrival order; satisfied waiters resume at the current time,
-    // behind already-queued same-time events, on the shard they parked from.
+    // behind already-queued same-time events.
     for (std::size_t i = 0; i < waiters_.size();) {
       if (compare(waiters_[i].cmp, value_, waiters_[i].rhs)) {
-        engine_->schedule_to(waiters_[i].home, waiters_[i].handle);
+        engine_->schedule(waiters_[i].handle, 0);
         waiters_.erase(waiters_.begin() + static_cast<std::ptrdiff_t>(i));
       } else {
         ++i;
@@ -191,36 +187,15 @@ class Semaphore {
 
 /// Cyclic barrier for a fixed set of participants (used for device-side
 /// grid.sync() and host-side OpenMP/MPI-style barriers).
-///
-/// Two modes: the default (local) mode assumes all participants live on one
-/// shard (grid.sync() — one device, one shard) and is the historical
-/// zero-overhead path. Global mode (set_global, used for host/PE barriers
-/// whose parties span shards) routes every arrival through the engine's
-/// serialized phase as a timestamped global op: arrivals are processed in
-/// (time, source shard, source sequence) order, and the fill wakes every
-/// waiter — including the last arriver — at the fill instant on its own
-/// shard. Simulated times are identical to the local mode; only the
-/// same-instant resume order differs, which nothing observes.
 class Barrier {
  public:
   Barrier(Engine& engine, std::size_t parties)
       : engine_(&engine), parties_(parties) {}
 
-  /// Switches to cross-shard arrival routing. Call before first use; no-op
-  /// in effect when the engine is not sharded.
-  void set_global(bool on) noexcept { global_ = on; }
-  [[nodiscard]] bool is_global() const noexcept { return global_; }
-
   struct Awaiter {
     Barrier& barrier;
     bool await_ready() const noexcept { return barrier.parties_ <= 1; }
     bool await_suspend(std::coroutine_handle<> h) {
-      if (barrier.global_ && barrier.engine_->sharded()) {
-        Barrier* b = &barrier;
-        const int home = barrier.engine_->context_shard();
-        barrier.engine_->post_global([b, h, home] { b->global_arrive(h, home); });
-        return true;
-      }
       if (barrier.arrived_ + 1 == barrier.parties_) {
         // Last arriver releases everyone and continues without suspending.
         barrier.arrived_ = 0;
@@ -243,25 +218,11 @@ class Barrier {
  private:
   friend struct Awaiter;
 
-  /// Runs in the serialized phase, in canonical arrival order.
-  void global_arrive(std::coroutine_handle<> h, int home) {
-    waiting_global_.push_back({h, home});
-    if (waiting_global_.size() == parties_) {
-      for (auto [wh, whome] : waiting_global_) {
-        engine_->schedule_to(whome, wh);
-      }
-      waiting_global_.clear();
-      ++generation_;
-    }
-  }
-
   Engine* engine_;
   std::size_t parties_;
   std::size_t arrived_ = 0;
   std::uint64_t generation_ = 0;
-  bool global_ = false;
   std::vector<std::coroutine_handle<>> waiting_;
-  std::vector<std::pair<std::coroutine_handle<>, int>> waiting_global_;
 };
 
 /// Unbounded FIFO channel; pop suspends until an element is available.

@@ -9,10 +9,7 @@
 //    awaiting coroutine at the simulated time the subtask finished.
 //  * `engine.spawn(task())` — detaches the task as a root process owned by
 //    the engine; exceptions escaping a root task are rethrown from
-//    Engine::run(). Under the sharded engine, `spawn_on(shard, task())`
-//    additionally pins the root (and everything it awaits) to one shard:
-//    the whole await-chain runs on that shard's sub-engine and its frames
-//    are owned — and, on teardown, destroyed — by that shard.
+//    Engine::run().
 #pragma once
 
 #include <coroutine>

@@ -24,32 +24,15 @@ const char* cat_name(Cat c) noexcept {
 void Trace::record(Cat cat, std::int32_t device, std::int32_t lane, Nanos begin,
                    Nanos end, std::string name) {
   if (!enabled_ || end <= begin) return;
-  if (checked_) {
-    const std::thread::id self = std::this_thread::get_id();
-    if (owner_ == std::thread::id{}) {
-      owner_ = self;
-    } else if (owner_ != self) {
-      throw std::logic_error(
-          "sim::Trace is thread-confined: recorded from two threads; give "
-          "each worker its own Machine/Engine (see sweep::Executor)");
-    }
+  const std::thread::id self = std::this_thread::get_id();
+  if (owner_ == std::thread::id{}) {
+    owner_ = self;
+  } else if (owner_ != self) {
+    throw std::logic_error(
+        "sim::Trace is thread-confined: recorded from two threads; give "
+        "each worker its own Machine/Engine (see sweep::Executor)");
   }
   intervals_.push_back(Interval{cat, device, lane, begin, end, std::move(name)});
-}
-
-std::vector<Interval> Trace::take_intervals() {
-  std::vector<Interval> out;
-  out.swap(intervals_);
-  owner_ = std::thread::id{};
-  return out;
-}
-
-void Trace::append(std::vector<Interval> more) {
-  if (intervals_.empty()) {
-    intervals_ = std::move(more);
-    return;
-  }
-  std::move(more.begin(), more.end(), std::back_inserter(intervals_));
 }
 
 namespace {
@@ -123,8 +106,8 @@ void Trace::union_lengths(std::span<const CatMask> sets,
   };
   // The serial engine records every interval at its end instant, so the
   // trace is usually end-ordered already: sweep it in place, checking the
-  // order on the way. Merged shard traces and hand-built traces fail the
-  // check and are swept again from a compact copy sorted by end.
+  // order on the way. Traces built by hand (or recorded out of end order)
+  // fail the check and are swept again from a compact copy sorted by end.
   bool ordered = true;
   Nanos last_end = std::numeric_limits<Nanos>::min();
   for (const Interval& iv : intervals_) {

@@ -17,9 +17,7 @@
 //                  // when the run recorded string-valued results (e.g. the
 //                  // put expansion a dacelite run selected)
 //         "metrics": {<cpufree::RunMetrics, ns-exact>},
-//         "machine": {<the vgpu::MachineSpec calibration the run used,
-//                      including pdes_threads — the sharded-engine worker
-//                      count the run simulated under (1 = serial engine)>}
+//         "machine": {<the vgpu::MachineSpec calibration the run used>}
 //       }, ...
 //     ]
 //   }

@@ -46,14 +46,11 @@ sim::Nanos predict_candidate(const Workload& w, const vgpu::MachineSpec& spec,
 /// the detector verdict. Failures (validation errors, deadlocks) become an
 /// unverified record instead of aborting the batch.
 sweep::RunResult validate_candidate(const Workload& w,
-                                    const vgpu::MachineSpec& base_spec,
+                                    const vgpu::MachineSpec& spec,
                                     const TuneOptions& opt,
                                     const Candidate& cand, sim::Nanos predicted,
                                     const std::vector<double>& reference,
                                     CandidateResult& out) {
-  vgpu::MachineSpec spec = base_spec;
-  spec.pdes_threads = opt.pdes_threads;
-
   sweep::RunResult res;
   res.spec = spec;
   // Tuner workloads are dacelite SDFGs; their domains divide evenly by the

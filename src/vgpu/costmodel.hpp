@@ -195,11 +195,6 @@ struct MachineSpec {
   /// structurally inert: no site consults the schedule and runs are
   /// byte-identical to a faultless build.
   fault::Config faults;
-  /// Worker threads for the sharded event engine (sim/pdes.hpp). 1 (the
-  /// default) keeps the historical serial loop byte-for-byte; >= 2 shards
-  /// the engine by device under conservative lookahead windows. Results are
-  /// identical for every value — only wall-clock time changes.
-  int pdes_threads = 1;
 
   [[nodiscard]] const DeviceSpec& device_spec(int id) const {
     const auto i = static_cast<std::size_t>(id);

@@ -1,9 +1,7 @@
 #include "vgpu/machine.hpp"
 
-#include <algorithm>
 #include <utility>
 
-#include "sim/pdes.hpp"
 #include "vgpu/stream.hpp"
 
 namespace vgpu {
@@ -17,34 +15,6 @@ Stream& Device::create_stream() {
 Machine::Machine(MachineSpec spec) : spec_(spec), faults_(spec_.faults) {
   if (spec_.num_devices <= 0) {
     throw std::invalid_argument("MachineSpec.num_devices must be positive");
-  }
-  if (spec_.pdes_threads < 1) {
-    throw std::invalid_argument("MachineSpec.pdes_threads must be >= 1");
-  }
-  if (spec_.pdes_threads > 1 && spec_.num_devices > 1) {
-    // Shard the engine by device. The conservative lookahead window is the
-    // minimum simulated latency of any cross-device interaction: every
-    // remote effect a device can cause (P2P put, host-initiated copy)
-    // arrives at least the initiation latency after issue, so a shard may
-    // run that far ahead of its peers without missing incoming work.
-    const sim::Nanos lookahead = std::max<sim::Nanos>(
-        1, std::min(spec_.link.device_initiated_latency,
-                    spec_.link.host_initiated_latency));
-    engine_.enable_sharding(
-        sim::pdes::ShardPlan::per_device(spec_.num_devices),
-        spec_.pdes_threads, lookahead);
-    if (faults_.signal_coupled() || faults_.hard_enabled()) {
-      // Resilience protocols write sender-side signal shadows at issue time
-      // and read them from receiver watchdogs, and the hard-fault plane's
-      // dead-component set is read at delivery time on remote shards —
-      // zero-latency cross-shard couplings no lookahead bound covers. Keep
-      // the sharded round algorithm (results stay identical for every
-      // thread count) but run single-worker rounds over width-1 windows,
-      // which restores global time order. Window-only transient masks
-      // (link/flap/stall) are pure functions of simulated time, touch no
-      // shadow, and therefore shard freely at full width.
-      engine_.require_lockstep();
-    }
   }
   topology_ = resolve_topology(spec_);
   if (topology_.num_devices() != spec_.num_devices) {
@@ -62,7 +32,6 @@ Machine::Machine(MachineSpec spec) : spec_(spec), faults_(spec_.faults) {
                std::vector<bool>(static_cast<std::size_t>(spec_.num_devices), false));
   host_barrier_ = std::make_unique<sim::Barrier>(
       engine_, static_cast<std::size_t>(spec_.num_devices));
-  if (engine_.sharded()) host_barrier_->set_global(true);
 }
 
 Machine::~Machine() = default;
@@ -133,14 +102,6 @@ sim::Task Machine::transfer(int src, int dst, double bytes, TransferKind kind,
                                ? spec_.link.device_put_issue
                                : 0;
   const topo::Route& route = router_->route(src, dst);
-  // Under sharding, delivery mutates destination-side state (signal flags,
-  // payload words) and must execute on the destination's shard. The arrival
-  // time is known at least `latency` (>= the engine lookahead) ahead of the
-  // current instant, so it is pre-scheduled as a timestamped cross-shard
-  // message; the source coroutine sleeps in parallel and only records its
-  // own trace row. Same-shard transfers keep the historical inline call.
-  const bool cross = engine_.sharded() && engine_.shard_of_device(src) !=
-                                              engine_.shard_of_device(dst);
   if (faults_.hard_enabled() && faults_.has_hard_links() &&
       faults_.note_link_crossing(src, dst, t0)) {
     // Counter-based link fail-stop: this crossing reached the kill point.
@@ -154,40 +115,27 @@ sim::Task Machine::transfer(int src, int dst, double bytes, TransferKind kind,
       o->on_fault(wire, "link-dead", name);
     }
   }
-  auto finish = [this, src, dst, obs_sink, op_id, wire,
-                 deliver = std::move(deliver)] {
-    // Fail-stop rejection happens at the delivery instant: payloads and
-    // signals to/from a dead device (or across a dead link) are dropped,
-    // but the wire itself still completed, so sender-side quiet() drains
-    // and the source coroutine never wedges on its own transfer.
-    if (faults_.hard_enabled() && faults_.delivery_blackholed(src, dst)) {
-      return;
-    }
-    if (obs_sink != nullptr) obs_sink->on_put_deliver(op_id, wire);
-    if (deliver) deliver();
-  };
   if (!route.contended) {
     // Uncontended route: the wire slot is computed in closed form (FIFO per
     // exclusive link) and the whole transfer is one sleep — the exact event
     // pattern of the flat model.
     const sim::Nanos wire_end =
         ledger_->reserve_exclusive(route, bytes, t0 + issue, name);
-    const sim::Nanos t_arr = wire_end + latency + route.extra_latency;
-    if (cross) {
-      engine_.schedule_cross(engine_.shard_of_device(dst), t_arr, finish);
-    }
-    co_await engine_.delay(t_arr - t0);
+    co_await engine_.delay(wire_end + latency + route.extra_latency - t0);
   } else {
     // Contended route: occupy the wire under progressive filling, then add
     // the delivery latency.
     co_await ledger_->wire_shared(route, bytes, issue, name);
-    const sim::Nanos t_arr = engine_.now() + latency + route.extra_latency;
-    if (cross) {
-      engine_.schedule_cross(engine_.shard_of_device(dst), t_arr, finish);
-    }
-    co_await engine_.delay(t_arr - engine_.now());
+    co_await engine_.delay(latency + route.extra_latency);
   }
-  if (!cross) finish();
+  // Fail-stop rejection happens at the delivery instant: payloads and
+  // signals to/from a dead device (or across a dead link) are dropped, but
+  // the wire itself still completed, so sender-side quiet() drains and the
+  // source coroutine never wedges on its own transfer.
+  if (!faults_.hard_enabled() || !faults_.delivery_blackholed(src, dst)) {
+    if (obs_sink != nullptr) obs_sink->on_put_deliver(op_id, wire);
+    if (deliver) deliver();
+  }
   trace().record(cat, src, lane, t0, engine_.now(), std::string(name));
 }
 
@@ -222,13 +170,7 @@ sim::Task Machine::host_barrier() {
 void Machine::run_host_threads(
     const std::function<sim::Task(int device)>& host_program) {
   for (int d = 0; d < spec_.num_devices; ++d) {
-    if (engine_.sharded()) {
-      // Each host thread is pinned to its device's shard so device-local
-      // work (launches, waits, local traces) never crosses shards.
-      engine_.spawn_on(engine_.shard_of_device(d), host_program(d));
-    } else {
-      engine_.spawn(host_program(d));
-    }
+    engine_.spawn(host_program(d));
   }
   engine_.run();
 }

@@ -252,9 +252,9 @@ TEST(Recovery, LostSignalWatchdogRetryRecovers) {
 TEST(Recovery, RetriesExhaustedDegradationConverges) {
   MachineSpec spec = test_machines::device_protocol(2);
   // Resilient waits arm only for signal-coupled masks (window-only and
-  // empty masks cannot lose updates, so their waits stay plain — and
-  // shardable). Arm a signal-coupled class at a negligible rate: the
-  // ladder runs, yet the only "fault" is the sender's stall.
+  // empty masks cannot lose updates, so their waits stay plain). Arm a
+  // signal-coupled class at a negligible rate: the ladder runs, yet the
+  // only "fault" is the sender's stall.
   spec.faults = fast_retry(0, 1e-9, fault::kClassSignalLost,
                            fault::Resilience::kRetryDegrade);
   Machine m(spec);

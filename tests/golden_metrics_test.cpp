@@ -11,9 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -42,22 +40,6 @@ std::string line(const std::string& name, const cpufree::RunMetrics& m,
   return name + "|" + cpufree::to_json(m) + "|" + extra;
 }
 
-/// CPUFREE_PDES_THREADS=N reruns the entire capture under the sharded
-/// engine. The golden file was recorded serially, so byte-identity of the
-/// sharded rerun against it IS the determinism gate (CI runs N=4).
-vgpu::MachineSpec golden_spec(int gpus) {
-  vgpu::MachineSpec s = vgpu::MachineSpec::hgx_a100(gpus);
-  if (const char* env = std::getenv("CPUFREE_PDES_THREADS")) {
-    const int n = std::atoi(env);
-    if (n < 1) {
-      throw std::invalid_argument("CPUFREE_PDES_THREADS must be >= 1, got '" +
-                                  std::string(env) + "'");
-    }
-    s.pdes_threads = n;
-  }
-  return s;
-}
-
 /// Regenerates the 40 capture lines in file order.
 std::vector<std::string> generate() {
   std::vector<std::string> out;
@@ -71,7 +53,7 @@ std::vector<std::string> generate() {
       cfg.iterations = 10;
       cfg.persistent_blocks = 12;
       const auto r = stencil::run_jacobi2d(
-          v, golden_spec(gpus), p, cfg);
+          v, vgpu::MachineSpec::hgx_a100(gpus), p, cfg);
       char extra[64];
       std::snprintf(extra, sizeof(extra), "parity=%d verified=%d",
                     r.result.final_parity, r.verified ? 1 : 0);
@@ -89,7 +71,7 @@ std::vector<std::string> generate() {
     cfg.iterations = 5;
     cfg.functional = false;
     const auto r =
-        stencil::run_jacobi2d(v, golden_spec(4), p, cfg);
+        stencil::run_jacobi2d(v, vgpu::MachineSpec::hgx_a100(4), p, cfg);
     out.push_back(line("j2d_large/g4/" + std::string(stencil::variant_name(v)),
                        r.result.metrics, ""));
   }
@@ -103,7 +85,7 @@ std::vector<std::string> generate() {
     cfg.iterations = 4;
     cfg.persistent_blocks = 12;
     const auto r =
-        stencil::run_jacobi3d(v, golden_spec(2), p, cfg);
+        stencil::run_jacobi3d(v, vgpu::MachineSpec::hgx_a100(2), p, cfg);
     char extra[64];
     std::snprintf(extra, sizeof(extra), "parity=%d verified=%d",
                   r.result.final_parity, r.verified ? 1 : 0);
@@ -118,7 +100,7 @@ std::vector<std::string> generate() {
     cfg.max_iterations = 40;
     cfg.tolerance = 1e-10;
     cfg.persistent_blocks = 12;
-    const auto spec = golden_spec(ranks);
+    const auto spec = vgpu::MachineSpec::hgx_a100(ranks);
     for (bool cpufree_v : {false, true}) {
       const solvers::CgResult r = cpufree_v
                                       ? solvers::run_cg_cpufree(spec, cfg)
@@ -139,7 +121,7 @@ std::vector<std::string> generate() {
     cfg.ny = 256;
     cfg.max_iterations = 20;
     cfg.functional = false;
-    const auto spec = golden_spec(4);
+    const auto spec = vgpu::MachineSpec::hgx_a100(4);
     out.push_back(line("cg/cpufree_large/r4",
                        solvers::run_cg_cpufree(spec, cfg).metrics, ""));
     out.push_back(line("cg/baseline_large/r4",
@@ -148,7 +130,7 @@ std::vector<std::string> generate() {
   // dacelite: jacobi1d discrete + persistent, 2 ranks.
   for (bool cpufree_v : {false, true}) {
     auto prog = dacelite::make_jacobi1d(1u << 14, 2, 10);
-    vgpu::Machine m(golden_spec(2));
+    vgpu::Machine m(vgpu::MachineSpec::hgx_a100(2));
     vshmem::World w(m);
     dacelite::ExecOptions opt;
     opt.functional = false;
@@ -171,7 +153,7 @@ std::vector<std::string> generate() {
   for (int mode = 0; mode < 3; ++mode) {
     auto prog = dacelite::make_jacobi2d(256, 4, 10);
     dacelite::to_cpu_free(prog.sdfg);
-    vgpu::Machine m(golden_spec(4));
+    vgpu::Machine m(vgpu::MachineSpec::hgx_a100(4));
     vshmem::World w(m);
     dacelite::ExecOptions opt;
     opt.functional = false;
@@ -187,7 +169,7 @@ std::vector<std::string> generate() {
   {
     auto prog = dacelite::make_jacobi2d(256, 4, 10);
     dacelite::apply_gpu_transform(prog.sdfg);
-    vgpu::Machine m(golden_spec(4));
+    vgpu::Machine m(vgpu::MachineSpec::hgx_a100(4));
     vshmem::World w(m);
     hostmpi::Comm comm(m);
     dacelite::ExecOptions opt;

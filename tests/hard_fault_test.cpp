@@ -6,21 +6,19 @@
 //     and config), declared exactly once, and gated by the fail-stop class
 //     mask — a rate-only config can never kill hardware;
 //   * checkpoint: the exec-layer snapshots are a pure function of
-//     (workload, t) — bitwise identical across --pdes-threads, sweep worker
-//     counts and reruns;
+//     (workload, t) — bitwise identical across sweep worker counts and
+//     reruns;
 //   * failover: a device killed mid-run aborts its resident jobs, the server
 //     re-admits them onto surviving devices from the newest complete
 //     checkpoint, and every recovered job lands BITWISE on the unfailed
 //     serial reference — with the checker clean, with the fleet report
-//     byte-identical for any engine thread count, and with the raced
-//     placement path (death between window selection and launch) re-queuing
-//     rather than wedging;
+//     byte-identical across reruns, and with the raced placement path
+//     (death between window selection and launch) re-queuing rather than
+//     wedging;
 //   * verdicts: without checkpointing the aborted job is reported lost; a
 //     non-restartable tenant stranded on the dead device surfaces through
 //     the engine's attributed hang report, which names the dead device, the
-//     evicted tenant and the stuck job;
-//   * sharding: window-only fault masks (link/stall) no longer demand
-//     lockstep rounds — sharded runs stay byte-identical to serial.
+//     evicted tenant and the stuck job.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -165,14 +163,10 @@ TEST(HardSchedule, LaunchOntoDeadDeviceRetiresWithoutATraceMark) {
 
 /// Runs one checkpointing CPU-Free stencil on a 2-device slice and returns
 /// the store's raw snapshots. Mirrors the serve workload's wiring (slice
-/// world, functional run, data-coupled engine rounds).
-std::map<int, std::map<int, std::vector<double>>> ckpt_snapshots(
-    int pdes_threads) {
-  MachineSpec spec = MachineSpec::hgx_a100(2);
-  spec.pdes_threads = pdes_threads;
-  vgpu::Machine m(spec);
+/// world, functional run).
+std::map<int, std::map<int, std::vector<double>>> ckpt_snapshots() {
+  vgpu::Machine m(MachineSpec::hgx_a100(2));
   m.trace().set_enabled(false);
-  m.engine().set_data_coupled(true);  // functional run on a sharded engine
   vshmem::World w(m, {0, 1}, "ckpt");
   stencil::Jacobi2D p;
   p.nx = 48;
@@ -195,23 +189,22 @@ std::map<int, std::map<int, std::vector<double>>> ckpt_snapshots(
   return store.snapshots;
 }
 
-TEST(Checkpoint, SnapshotsBitStableAcrossPdesThreadsAndReruns) {
-  const auto golden = ckpt_snapshots(1);
+TEST(Checkpoint, SnapshotsBitStableAcrossReruns) {
+  const auto golden = ckpt_snapshots();
   ASSERT_FALSE(golden.empty());
-  EXPECT_EQ(ckpt_snapshots(1), golden) << "rerun differs";
-  EXPECT_EQ(ckpt_snapshots(2), golden) << "pdes-threads 2 differs";
-  EXPECT_EQ(ckpt_snapshots(4), golden) << "pdes-threads 4 differs";
+  EXPECT_EQ(ckpt_snapshots(), golden) << "rerun differs";
+  EXPECT_EQ(ckpt_snapshots(), golden) << "second rerun differs";
 }
 
 TEST(Checkpoint, SnapshotsBitStableAcrossSweepThreads) {
   // Each sweep job owns its Machine; worker count must not perturb the
   // captured bytes (the --threads half of the determinism contract).
-  const auto golden = ckpt_snapshots(1);
+  const auto golden = ckpt_snapshots();
   std::map<int, std::map<int, std::vector<double>>> out[2];
   sweep::Executor ex(sweep::Options{/*threads=*/2, /*progress=*/false});
   for (int i = 0; i < 2; ++i) {
     ex.add("ckpt" + std::to_string(i), {}, [i, &out] {
-      out[i] = ckpt_snapshots(1);
+      out[i] = ckpt_snapshots();
       return sweep::RunResult{};
     });
   }
@@ -247,11 +240,10 @@ std::vector<JobSpec> small_fleet() {
   return jobs;
 }
 
-ServeConfig failover_config(int checkpoint_every, int pdes_threads = 1) {
+ServeConfig failover_config(int checkpoint_every) {
   ServeConfig cfg;
   cfg.machine = MachineSpec::multi_node(2, 4);
   cfg.machine.faults = kill_device(1, 3);
-  cfg.machine.pdes_threads = pdes_threads;
   cfg.arrival.mode = ArrivalConfig::Mode::kClosed;
   cfg.arrival.concurrency = 0;
   cfg.checkpoint_every = checkpoint_every;
@@ -356,17 +348,15 @@ std::string failover_fingerprint(const ServeReport& rep) {
   return os.str();
 }
 
-TEST(Failover, FleetByteIdenticalAcrossRerunsAndPdesThreads) {
+TEST(Failover, FleetByteIdenticalAcrossReruns) {
   std::vector<std::string> prints;
-  for (int pdes : {1, 1, 2, 4}) {
-    prints.push_back(
-        failover_fingerprint(serve::run_serve(failover_config(2, pdes),
-                                              small_fleet())));
+  for (int rerun = 0; rerun < 3; ++rerun) {
+    prints.push_back(failover_fingerprint(
+        serve::run_serve(failover_config(2), small_fleet())));
   }
   EXPECT_NE(prints[0].find("(resumed at"), std::string::npos) << prints[0];
   EXPECT_EQ(prints[0], prints[1]) << "rerun differs";
-  EXPECT_EQ(prints[0], prints[2]) << "pdes-threads 2 differs";
-  EXPECT_EQ(prints[0], prints[3]) << "pdes-threads 4 differs";
+  EXPECT_EQ(prints[0], prints[2]) << "second rerun differs";
 }
 
 // --- raced placement (admission vs. death) -------------------------------------
@@ -457,37 +447,6 @@ TEST(Failover, HangReportNamesDeadDeviceAndEvictedTenant) {
       << rep.hang_report;
   EXPECT_NE(rep.hang_report.find("j1:t1:cg"), std::string::npos)
       << rep.hang_report;
-}
-
-// --- sharding of window-only fault masks ---------------------------------------
-
-std::string window_faults_json(int pdes_threads) {
-  MachineSpec spec = MachineSpec::hgx_a100(4);
-  spec.pdes_threads = pdes_threads;
-  spec.faults.seed = 9;
-  spec.faults.rate = 0.2;
-  spec.faults.classes =
-      fault::kClassLink | fault::kClassFlap | fault::kClassStall;
-  stencil::Jacobi2D p;
-  p.nx = 128;
-  p.ny = 128;
-  stencil::StencilConfig cfg;
-  cfg.iterations = 12;
-  cfg.persistent_blocks = 4;
-  const stencil::RunOutput out =
-      stencil::run_jacobi2d(stencil::Variant::kCpuFree, spec, p, cfg);
-  EXPECT_TRUE(out.verified);
-  EXPECT_GT(out.result.metrics.faults_injected, 0);
-  return cpufree::to_json(out.result.metrics);
-}
-
-TEST(PdesSharding, WindowOnlyFaultMasksShardByteIdentically) {
-  // Link/flap/stall windows are pure functions of simulated time: they no
-  // longer force lockstep rounds, and the sharded engine must still produce
-  // byte-identical metrics for any thread count.
-  const std::string golden = window_faults_json(1);
-  EXPECT_EQ(window_faults_json(2), golden) << "pdes-threads 2 differs";
-  EXPECT_EQ(window_faults_json(4), golden) << "pdes-threads 4 differs";
 }
 
 }  // namespace

@@ -161,17 +161,22 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(2, 4)));
 
 TEST(HistDeterminism, BitIdenticalAcrossEngineThreads) {
+  // Reruns on two threads at once, each owning its engine, must reproduce
+  // the serial run.
   const HistogramConfig cfg = small_hist();
   const Plan plan = hist_plans()[4];  // CPU-Free
-  MachineSpec spec = MachineSpec::hgx_a100(4);
-  spec.pdes_threads = 1;
+  const MachineSpec spec = MachineSpec::hgx_a100(4);
   const HistogramResult golden = workloads::run_histogram(spec, cfg, plan);
-  for (int t : {2, 4}) {
-    spec.pdes_threads = t;
-    const HistogramResult got = workloads::run_histogram(spec, cfg, plan);
-    EXPECT_EQ(got.bins, golden.bins) << "pdes_threads=" << t;
-    EXPECT_EQ(got.metrics.total_ms(), golden.metrics.total_ms())
-        << "pdes_threads=" << t;
+  std::vector<HistogramResult> got(2);
+  std::vector<std::thread> pool;
+  for (HistogramResult& r : got) {
+    pool.emplace_back([&] { r = workloads::run_histogram(spec, cfg, plan); });
+  }
+  for (std::thread& th : pool) th.join();
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    EXPECT_EQ(got[t].bins, golden.bins) << "thread " << t;
+    EXPECT_EQ(got[t].metrics.total_ms(), golden.metrics.total_ms())
+        << "thread " << t;
   }
 }
 
@@ -442,18 +447,23 @@ TEST(SparseCg, BitwiseOnEveryMachineModel) {
 }
 
 TEST(SparseCg, BitIdenticalAcrossEngineThreads) {
+  // Reruns on two threads at once, each owning its engine, must reproduce
+  // the serial run.
   const solvers::SparseCgConfig cfg = small_sparse(4.0);
-  MachineSpec spec = MachineSpec::hgx_a100(4);
-  spec.pdes_threads = 1;
+  const MachineSpec spec = MachineSpec::hgx_a100(4);
   const solvers::CgResult golden =
       solvers::run_sparse_cg(spec, cfg, sparse_cpufree_plan());
-  for (int t : {2, 4}) {
-    spec.pdes_threads = t;
-    const solvers::CgResult got =
-        solvers::run_sparse_cg(spec, cfg, sparse_cpufree_plan());
-    EXPECT_EQ(got.rr_history, golden.rr_history) << "pdes_threads=" << t;
-    EXPECT_EQ(got.metrics.total_ms(), golden.metrics.total_ms())
-        << "pdes_threads=" << t;
+  std::vector<solvers::CgResult> got(2);
+  std::vector<std::thread> pool;
+  for (solvers::CgResult& r : got) {
+    pool.emplace_back(
+        [&] { r = solvers::run_sparse_cg(spec, cfg, sparse_cpufree_plan()); });
+  }
+  for (std::thread& th : pool) th.join();
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    EXPECT_EQ(got[t].rr_history, golden.rr_history) << "thread " << t;
+    EXPECT_EQ(got[t].metrics.total_ms(), golden.metrics.total_ms())
+        << "thread " << t;
   }
 }
 
